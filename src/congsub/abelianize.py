@@ -236,14 +236,14 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     if not rewriting.is_free(t):
         raise RuntimeError("expected a torsion-free table for (%d, %d)" % (m, n))
     gens = rewriting.schreier_generators(t)
-    r = len(gens)
-    n_cols = r + 2
-    rows = [[m, 0] + [0] * r, [0, n] + [0] * r]
+    rows = [[m, 0], [0, n]]
     for _, p in gens:
         mat = lift_to_sl(p, m, n)
-        rows.append([mat.a - 1, -mat.c] + [0] * r)
-        rows.append([-mat.b, mat.d - 1] + [0] * r)
-    return smith_invariants(rows, n_cols)
+        rows.append([mat.a - 1, -mat.c])
+        rows.append([-mat.b, mat.d - 1])
+    # the r generator columns are all zero: each adds one free summand
+    inv = smith_invariants(rows, 2)
+    return AbelianInvariants(inv.torsion, inv.free_rank + len(gens))
 
 
 def full_abelianization(

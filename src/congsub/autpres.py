@@ -21,11 +21,13 @@ Generators of the presentation:
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
+from .cosets import orbit_table
 from .fingroups import Epimorphism, FiniteGroup
+from .rewriting import exponent_rows, free_reduce, rewrite_relators
 
 # --- free group words on x (=1) and y (=2); negatives are inverses ---
 
@@ -35,25 +37,8 @@ X: Fword = (1,)
 Y: Fword = (2,)
 
 
-def w_reduce(w) -> Fword:
-    out: list[int] = []
-    for a in w:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
 def w_mul(*ws: Fword) -> Fword:
-    out: list[int] = []
-    for w in ws:
-        for a in w:
-            if out and out[-1] == -a:
-                out.pop()
-            else:
-                out.append(a)
-    return tuple(out)
+    return free_reduce(chain.from_iterable(ws))
 
 
 def w_inv(w: Fword) -> Fword:
@@ -74,7 +59,7 @@ def a_apply(f: Aut, w: Fword) -> Fword:
     for a in w:
         img = wx if abs(a) == 1 else wy
         parts.extend(img if a > 0 else w_inv(img))
-    return w_reduce(parts)
+    return free_reduce(parts)
 
 
 def a_compose(f: Aut, g: Aut) -> Aut:
@@ -264,42 +249,16 @@ class SignedTable:
 
     n: int
     forward: dict[str, tuple[int, ...]]
-    backward: dict[str, tuple[int, ...]]
     tree: frozenset[tuple[int, str]]  # non-root states' discovery edges (state, gen)
 
 
 def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> SignedTable:
     if len(g.closure((pi0.gx, pi0.gy))) != g.order:
         raise ValueError("pi0 is not an epimorphism onto the group")
-    steps = {name: _state_action(g, name) for name in GENS}
-    start = (pi0.gx, pi0.gy, 1)
-    index = {start: 0}
-    order = [start]
-    tree: set[tuple[int, str]] = set()
-    edges: dict[str, list[int]] = {name: [] for name in GENS}
-    i = 0
-    while i < len(order):
-        state = order[i]
-        for name in GENS:
-            nxt = steps[name](state)
-            k = index.get(nxt)
-            if k is None:
-                k = len(order)
-                index[nxt] = k
-                order.append(nxt)
-                tree.add((i, name))
-            edges[name].append(k)
-            # rows are appended in state order; pad handled by loop shape
-        i += 1
-    n = len(order)
-    forward = {name: tuple(edges[name]) for name in GENS}
-    backward = {}
-    for name in GENS:
-        back = [0] * n
-        for src, dst in enumerate(forward[name]):
-            back[dst] = src
-        backward[name] = tuple(back)
-    return SignedTable(n, forward, backward, frozenset(tree))
+    states, forward, tree = orbit_table(
+        (pi0.gx, pi0.gy, 1), {name: _state_action(g, name) for name in GENS}
+    )
+    return SignedTable(len(states), forward, frozenset(tree))
 
 
 def stabilizer_relation_rows(
@@ -308,34 +267,10 @@ def stabilizer_relation_rows(
     """Abelianized Reidemeister-Schreier data for the special stabilizer.
 
     Returns exponent-sum rows over the non-tree Schreier generators of the
-    stabilizer of the signed pair, one row per (relator, coset).
+    stabilizer of the signed pair, one row per (relator, coset) with the
+    zero rows dropped.
     """
     table = signed_coset_table(g, pi0)
-    pres = presentation()
-    sym: dict[tuple[int, str], int] = {}
-    for c in range(table.n):
-        for name in GENS:
-            if (c, name) not in table.tree:
-                sym[(c, name)] = len(sym)
-    rows: list[list[int]] = []
-    for rel in pres.relators:
-        for c in range(table.n):
-            row = [0] * len(sym)
-            cur = c
-            for name, e in rel:
-                if e == 1:
-                    k = sym.get((cur, name))
-                    if k is not None:
-                        row[k] += 1
-                    cur = table.forward[name][cur]
-                else:
-                    prev = table.backward[name][cur]
-                    k = sym.get((prev, name))
-                    if k is not None:
-                        row[k] -= 1
-                    cur = prev
-            if cur != c:
-                raise RuntimeError("relator does not act trivially on cosets")
-            if any(row):
-                rows.append(row)
-    return rows, len(sym)
+    edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
+    rows = exponent_rows(words, len(edges))
+    return [row for row in rows if any(row)], len(edges)

@@ -6,7 +6,7 @@ three methods, batch verification sweeps, and the level-(m, m) kernel
 cross-check.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 enumeration ceiling exceeded.
+3 enumeration ceiling exceeded, 4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CEILING = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -390,7 +391,10 @@ def main(argv=None) -> int:
     except CosetCeilingError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CEILING
-    except (ValueError, abelianize.PerfectGroupError) as exc:
+    except RuntimeError as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,11 +3,14 @@
 Two independent constructions are provided: Todd-Coxeter enumeration over
 the presentation <S, U | S^2, U^3> from subgroup generator words, and the
 explicit congruence action (reduction of matrix rows mod m and mod n).
-Agreement of the two is the main internal cross-check.
+Agreement of the two is the main internal cross-check.  The congruence
+action, the signed-orbit table of the Aut(F2) route and the stabilizer
+orbit all come from the one breadth-first builder ``orbit_table``.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
 from .matgroup import GeneratorWord, _check_pair
@@ -119,13 +122,46 @@ def tables_isomorphic(t1: CosetTable, t2: CosetTable) -> bool:
     return len(set(mapping.values())) == t1.n
 
 
+def orbit_table(
+    start: Hashable, steps: dict[str, Callable[[Hashable], Hashable]]
+) -> tuple[list[Hashable], dict[str, tuple[int, ...]], list[tuple[int, str]]]:
+    """Breadth-first orbit of a hashable state under named step functions.
+
+    ``steps`` maps generator names to functions state -> state, and its
+    order is the order in which each state's neighbours are explored.
+    Returns the states in discovery order, one column per name (column
+    ``name`` holds the index of ``step(states[i])`` at position i; a
+    permutation when the steps are bijections of the orbit) and the
+    discovery edges (i, name) in discovery order, which form a spanning
+    tree rooted at state 0.
+    """
+    index = {start: 0}
+    states = [start]
+    columns: dict[str, list[int]] = {name: [] for name in steps}
+    tree: list[tuple[int, str]] = []
+    i = 0
+    while i < len(states):
+        state = states[i]
+        for name, step in steps.items():
+            nxt = step(state)
+            j = index.get(nxt)
+            if j is None:
+                j = len(states)
+                index[nxt] = j
+                states.append(nxt)
+                tree.append((i, name))
+            columns[name].append(j)
+        i += 1
+    return states, {name: tuple(col) for name, col in columns.items()}, tree
+
+
 def congruence_table(m: int, n: int) -> CosetTable:
     """Coset table of the projective congruence subgroup for (m, n).
 
-    Cosets are tracked as subsets of SL2(Z/m): the subgroup's image mod m
-    (together with its negatives) multiplied by a representative.  Needs no
-    generator words at all, which is what makes it an independent oracle
-    for the Todd-Coxeter path.
+    A coset is the subgroup's image mod m (together with its negatives)
+    multiplied by a representative in SL2(Z/m); its state is the least
+    element of that product.  Needs no generator words at all, which is
+    what makes it an independent oracle for the Todd-Coxeter path.
     """
     _check_pair(m, n)
     if m == 1:
@@ -142,37 +178,21 @@ def congruence_table(m: int, n: int) -> CosetTable:
         )
 
     # image of the subgroup in SL2(Z/m), closed under negation
-    stab = []
+    stab = set()
     for gamma in range(0, m, n):
-        stab.append((1, 0, gamma, 1))
-        stab.append((m - 1, 0, (-gamma) % m, m - 1))
-    stab = sorted(set(stab))
+        stab.add((1, 0, gamma, 1))
+        stab.add((m - 1, 0, (-gamma) % m, m - 1))
+
+    def coset(x):
+        return min(mul(h, x) for h in stab)
 
     s_mat = (0, 1, (-1) % m, 0)
     u_mat = (0, (-1) % m, 1, 1)
-
-    def key(x):
-        return frozenset(mul(h, x) for h in stab)
-
-    ident = (1, 0, 0, 1)
-    reps = [ident]
-    index_of = {key(ident): 0}
-    s_img: list[int] = []
-    u_img: list[int] = []
-    i = 0
-    while i < len(reps):
-        x = reps[i]
-        for gen, out in ((s_mat, s_img), (u_mat, u_img)):
-            y = mul(x, gen)
-            k = key(y)
-            j = index_of.get(k)
-            if j is None:
-                j = len(reps)
-                index_of[k] = j
-                reps.append(y)
-            out.append(j)
-        i += 1
-    t = CosetTable(tuple(s_img), tuple(u_img), "congruence-action")
+    _, cols, _ = orbit_table(
+        coset((1, 0, 0, 1)),
+        {"S": lambda x: coset(mul(x, s_mat)), "U": lambda x: coset(mul(x, u_mat))},
+    )
+    t = CosetTable(cols["S"], cols["U"], "congruence-action")
     t.validate()
     return t
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .cosets import CosetTable, enumerate_cosets, DEFAULT_CEILING
+from .cosets import CosetTable, DEFAULT_CEILING, enumerate_cosets, orbit_table
 from .matgroup import Mat2, PslElement, matrix_to_word
 
 MAX_GROUP_ORDER = 120
@@ -82,11 +82,11 @@ class FiniteGroup:
         return k
 
 
-def _build(tag, elements, mul, namer, max_order=MAX_GROUP_ORDER):
+def _build(tag, elements, mul, namer):
     """Cayley table from an explicit element list; verifies the axioms."""
-    if len(elements) > max_order:
+    if len(elements) > MAX_GROUP_ORDER:
         raise GroupTooLargeError(
-            "group of order %d exceeds cap %d" % (len(elements), max_order)
+            "group of order %d exceeds cap %d" % (len(elements), MAX_GROUP_ORDER)
         )
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
@@ -112,31 +112,25 @@ def _build(tag, elements, mul, namer, max_order=MAX_GROUP_ORDER):
     return g
 
 
-def _check_axioms(g: FiniteGroup, full_limit: int = 200):
+def _check_axioms(g: FiniteGroup):
     k = g.order
     if any(g.mul(0, x) != x or g.mul(x, 0) != x for x in range(k)):
         raise ValueError("identity axiom fails")
-    triples = (
-        ((x, y, z) for x in range(k) for y in range(k) for z in range(k))
-        if k <= full_limit
-        else (
-            ((x * 7919) % k, (x * 104729) % k, (x * 1299709) % k)
-            for x in range(10000)
-        )
-    )
-    for x, y, z in triples:
-        if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
-            raise ValueError("associativity fails at %s" % ((x, y, z),))
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
+                    raise ValueError("associativity fails at %s" % ((x, y, z),))
 
 
-def cyclic(m: int, **kw) -> FiniteGroup:
+def cyclic(m: int) -> FiniteGroup:
     """Z/m; element i is the residue i."""
     if m < 1:
         raise ValueError("m must be positive")
-    return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m, str, **kw)
+    return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m, str)
 
 
-def abelian(m: int, n: int, **kw) -> FiniteGroup:
+def abelian(m: int, n: int) -> FiniteGroup:
     """Z/m x Z/n; element (i, j) has index i*n + j (lexicographic)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -146,11 +140,10 @@ def abelian(m: int, n: int, **kw) -> FiniteGroup:
         elems,
         lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n),
         lambda e: "(%d,%d)" % e,
-        **kw,
     )
 
 
-def dihedral(r: int, **kw) -> FiniteGroup:
+def dihedral(r: int) -> FiniteGroup:
     """Dihedral group of order 2r: rotations first (f=0), then reflections."""
     if r < 1:
         raise ValueError("r must be positive")
@@ -163,7 +156,7 @@ def dihedral(r: int, **kw) -> FiniteGroup:
         return ((f1 + f2) % 2, ((i1 if f2 == 0 else -i1) + i2) % r)
 
     return _build(
-        "dihedral:%d" % r, elems, mul2, lambda e: "sr^%d" % e[1] if e[0] else "r^%d" % e[1], **kw
+        "dihedral:%d" % r, elems, mul2, lambda e: "sr^%d" % e[1] if e[0] else "r^%d" % e[1]
     )
 
 
@@ -171,17 +164,17 @@ def _perm_mul(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def symmetric(s: int, **kw) -> FiniteGroup:
+def symmetric(s: int) -> FiniteGroup:
     """Symmetric group on s points; permutation tuples, lexicographic."""
     if not 1 <= s <= 5:
         raise ValueError("s must be in 1..5")
     import itertools
 
     elems = sorted(itertools.permutations(range(s)))
-    return _build("sym:%d" % s, elems, _perm_mul, str, **kw)
+    return _build("sym:%d" % s, elems, _perm_mul, str)
 
 
-def alternating(s: int, **kw) -> FiniteGroup:
+def alternating(s: int) -> FiniteGroup:
     """Alternating group on s points, s in 4..5."""
     if not 3 <= s <= 5:
         raise ValueError("s must be in 3..5")
@@ -192,10 +185,10 @@ def alternating(s: int, **kw) -> FiniteGroup:
         return inv % 2
 
     elems = sorted(p for p in itertools.permutations(range(s)) if parity(p) == 0)
-    return _build("alt:%d" % s, elems, _perm_mul, str, **kw)
+    return _build("alt:%d" % s, elems, _perm_mul, str)
 
 
-def quaternion(**kw) -> FiniteGroup:
+def quaternion() -> FiniteGroup:
     """Quaternion group of order 8; elements (sign, axis) for ±1,±i,±j,±k."""
     elems = [(s, a) for a in range(4) for s in (0, 1)]
     # basis multiplication: (axis, axis) -> (sign, axis)
@@ -217,11 +210,10 @@ def quaternion(**kw) -> FiniteGroup:
         elems,
         mul,
         lambda e: ("-" if e[0] else "") + names[e[1]],
-        **kw,
     )
 
 
-def from_permutations(cycle_specs: str, **kw) -> FiniteGroup:
+def from_permutations(cycle_specs: str) -> FiniteGroup:
     """Group generated by permutations in cycle notation.
 
     Example: "(1 2)(3 4),(1 2 3)" (generators comma-separated; points
@@ -254,26 +246,26 @@ def from_permutations(cycle_specs: str, **kw) -> FiniteGroup:
         for q in perms:
             r = _perm_mul(p, q)
             if r not in seen:
-                if len(seen) >= kw.get("max_order", MAX_GROUP_ORDER):
+                if len(seen) >= MAX_GROUP_ORDER:
                     raise GroupTooLargeError("permutation group exceeds cap")
                 seen.add(r)
                 queue.append(r)
     elems = [ident] + sorted(seen - {ident})
-    return _build("perm:%s" % cycle_specs, elems, _perm_mul, str, **kw)
+    return _build("perm:%s" % cycle_specs, elems, _perm_mul, str)
 
 
-_SPEC_BUILDERS: dict[str, Callable] = {
-    "cyclic": lambda arg, **kw: cyclic(int(arg), **kw),
-    "abelian": lambda arg, **kw: abelian(*(int(v) for v in arg.split(",")), **kw),
-    "dihedral": lambda arg, **kw: dihedral(int(arg), **kw),
-    "sym": lambda arg, **kw: symmetric(int(arg), **kw),
-    "alt": lambda arg, **kw: alternating(int(arg), **kw),
-    "quaternion": lambda arg, **kw: quaternion(**kw),
-    "perm": lambda arg, **kw: from_permutations(arg, **kw),
+_SPEC_BUILDERS: dict[str, Callable[[str], FiniteGroup]] = {
+    "cyclic": lambda arg: cyclic(int(arg)),
+    "abelian": lambda arg: abelian(*(int(v) for v in arg.split(","))),
+    "dihedral": lambda arg: dihedral(int(arg)),
+    "sym": lambda arg: symmetric(int(arg)),
+    "alt": lambda arg: alternating(int(arg)),
+    "quaternion": lambda arg: quaternion(),
+    "perm": from_permutations,
 }
 
 
-def parse_group_spec(spec: str, **kw) -> FiniteGroup:
+def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from the mini-language, e.g. "cyclic:6" or "perm:(1 2),(1 2 3)"."""
     head, _, arg = spec.partition(":")
     builder = _SPEC_BUILDERS.get(head)
@@ -282,7 +274,7 @@ def parse_group_spec(spec: str, **kw) -> FiniteGroup:
             "unknown group spec %r (want one of %s)"
             % (spec, ", ".join(sorted(_SPEC_BUILDERS)))
         )
-    return builder(arg, **kw)
+    return builder(arg)
 
 
 class Epimorphism(NamedTuple):
@@ -386,25 +378,25 @@ class OrbitStabilizer:
 def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
     if len(g.closure((pi0.gx, pi0.gy))) != g.order:
         raise ValueError("pi0 is not an epimorphism onto the group")
-    start = SignedEpi(pi0.gx, pi0.gy, 1)
-    words = {start: ""}
-    queue = deque([start])
+    states, columns, tree = orbit_table(
+        SignedEpi(pi0.gx, pi0.gy, 1),
+        {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
+    )
+    words = [""] * len(states)
+    for i, x in tree:
+        words[columns[x][i]] = words[i] + x
+    tree_edges = set(tree)
     stab: list[str] = []
     seen_words = set()
-    while queue:
-        state = queue.popleft()
-        for letter in AUT_LETTERS:
-            nxt = act(g, letter, state)
-            if nxt in words:
-                w = words[state] + letter + invert_aut_word(words[nxt])
-                if w and w not in seen_words:
+    for i, word in enumerate(words):
+        for x in AUT_LETTERS:
+            if (i, x) not in tree_edges:
+                w = word + x + invert_aut_word(words[columns[x][i]])
+                if w not in seen_words:
                     seen_words.add(w)
                     stab.append(w)
-            else:
-                words[nxt] = words[state] + letter
-                queue.append(nxt)
-    signed = len(words)
-    epis = len({(s.gx, s.gy) for s in words})
+    signed = len(states)
+    epis = len({(s.gx, s.gy) for s in states})
     if signed % 2 != 0:
         raise RuntimeError("signed orbit size must be even")
     return OrbitStabilizer(

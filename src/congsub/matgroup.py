@@ -93,44 +93,33 @@ PSL_IDENTITY = PslElement(IDENTITY)
 PSL_S = PslElement(S)
 PSL_U = PslElement(U)
 
-# Letter conventions: PSL words use 'S', 'U' and 'u' (= U^2 = U^-1);
-# SL words use 'S', 'T' and 't' (= T^-1).
+# PSL words use the letters 'S', 'U' and 'u' (= U^2 = U^-1).
 _PSL_LETTERS = {"S": PSL_S, "U": PSL_U, "u": PSL_U * PSL_U}
 _PSL_INVERSE = {"S": "S", "U": "u", "u": "U"}
 
 
 @dataclass(frozen=True)
 class GeneratorWord:
-    """Word over the generator alphabet, PSL ('S','U','u') or SL ('S','T','t')."""
+    """Word over the PSL generator alphabet 'S', 'U', 'u'."""
 
     letters: str
-    alphabet: str = "psl"
 
     def __post_init__(self):
-        allowed = "SUu" if self.alphabet == "psl" else "STt"
-        if self.alphabet not in ("psl", "sl"):
-            raise ValueError("unknown alphabet %r" % self.alphabet)
-        bad = set(self.letters) - set(allowed)
+        bad = set(self.letters) - set(_PSL_INVERSE)
         if bad:
-            raise ValueError("letters %r not in %s alphabet" % (bad, self.alphabet))
+            raise ValueError("letters %r not in the PSL alphabet" % bad)
 
     def __len__(self):
         return len(self.letters)
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return GeneratorWord(self.letters + other.letters, self.alphabet)
+        return GeneratorWord(self.letters + other.letters)
 
     def normalize(self) -> "GeneratorWord":
-        if self.alphabet == "psl":
-            return GeneratorWord(normalize_psl(self.letters), "psl")
-        return GeneratorWord(normalize_sl(self.letters), "sl")
+        return GeneratorWord(normalize_psl(self.letters))
 
     def inverse(self) -> "GeneratorWord":
-        if self.alphabet != "psl":
-            raise ValueError("inverse only implemented for the PSL alphabet")
-        return GeneratorWord(invert_psl(self.letters), "psl")
+        return GeneratorWord(invert_psl(self.letters))
 
 
 def normalize_psl(letters: str) -> str:
@@ -158,17 +147,6 @@ def normalize_psl(letters: str) -> str:
                 break
             break
         if x:
-            out.append(x)
-    return "".join(out)
-
-
-def normalize_sl(letters: str) -> str:
-    """Free cancellation of T*t and t*T only (S has order 4 in SL)."""
-    out: list[str] = []
-    for x in letters:
-        if out and {out[-1], x} == {"T", "t"}:
-            out.pop()
-        else:
             out.append(x)
     return "".join(out)
 
@@ -205,7 +183,7 @@ def matrix_to_word(x: PslElement) -> GeneratorWord:
     # n is now +-(1 k; 0 1)
     k = n.b if n.a == 1 else -n.b
     chunks.append(_t_power_psl(k))
-    return GeneratorWord(normalize_psl("".join(chunks)), "psl")
+    return GeneratorWord(normalize_psl("".join(chunks)))
 
 
 def _t_power_psl(q: int) -> str:

@@ -4,11 +4,15 @@ Given a complete coset table this module produces a prefix-closed Schreier
 transversal, a reduced Schreier generating set, a rewritten subgroup
 presentation, and the free-product decomposition data (free rank plus the
 counts of order-2 and order-3 factors, read off from fixed points of the
-S and U actions).
+S and U actions).  The relator rewriter ``rewrite_relators`` and
+``free_reduce`` work over any table of named permutation columns; the
+Aut(F2) route uses them too.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,9 +63,7 @@ def _schreier_word(t: CosetTable, tr, coset: int, letter: str) -> str:
     return normalize_psl(tr[coset] + letter + invert_psl(tr[t.apply(coset, letter)]))
 
 
-def schreier_generators(
-    t: CosetTable, tr: tuple[str, ...] | None = None
-) -> list[tuple[GeneratorWord, PslElement]]:
+def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]:
     """Reduced Schreier generating set for the subgroup at coset 0.
 
     Raw Schreier generators t_c * a * t_{c*a}^-1 over a in {S, U} are
@@ -71,8 +73,7 @@ def schreier_generators(
     dropped).  Fixed points contribute the torsion generators themselves.
     For torsion-free subgroups the result is a free basis.
     """
-    if tr is None:
-        tr = transversal(t)
+    tr = transversal(t)
     gens: list[str] = []
     for c in range(t.n):
         d = t.s[c]
@@ -108,7 +109,7 @@ def schreier_generators(
         elem = word_to_matrix(w)
         if t.trace(0, w) != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        out.append((GeneratorWord(w, "psl"), elem))
+        out.append((GeneratorWord(w), elem))
     return out
 
 
@@ -170,7 +171,8 @@ def free_rank(t: CosetTable) -> int:
     return dec.free_rank
 
 
-AMBIENT_RELATORS = ("SS", "UUU")
+# S^2 and U^3 as words of (generator, exponent) tokens
+AMBIENT_RELATORS = ((("S", 1),) * 2, (("U", 1),) * 3)
 
 
 @dataclass(frozen=True)
@@ -202,14 +204,74 @@ class SubgroupPresentation:
         return "\n".join(lines) + "\n"
 
 
-def _free_reduce(symbols: list[int]) -> tuple[int, ...]:
+def free_reduce(word: Iterable[int]) -> tuple[int, ...]:
+    """Free reduction of a word of nonzero signed letters (-a inverts a)."""
     out: list[int] = []
-    for s in symbols:
-        if out and out[-1] == -s:
+    for a in word:
+        if out and out[-1] == -a:
             out.pop()
         else:
-            out.append(s)
+            out.append(a)
     return tuple(out)
+
+
+def rewrite_relators(
+    columns: dict[str, tuple[int, ...]],
+    tree: Collection[tuple[int, str]],
+    relators: Iterable[tuple[tuple[str, int], ...]],
+) -> tuple[list[tuple[int, str]], list[tuple[int, ...]]]:
+    """Reidemeister-Schreier rewriting of relators through a coset table.
+
+    ``columns`` maps each generator name to its permutation of the states,
+    ``tree`` holds the (state, name) edges of a spanning tree and
+    ``relators`` are words of (name, +1/-1) tokens.  The non-tree edges
+    are the Schreier generators, numbered from 1 state-major in column
+    order.  Returns those edges and, relator by relator and for every
+    start state, the relator read from that state as a freely reduced
+    word of signed generator numbers.
+    """
+    n = len(next(iter(columns.values())))
+    symbol: dict[tuple[int, str], int] = {}
+    for c in range(n):
+        for name in columns:
+            if (c, name) not in tree:
+                symbol[(c, name)] = len(symbol) + 1
+    inverse = {}
+    for name, col in columns.items():
+        back = [0] * n
+        for src, dst in enumerate(col):
+            back[dst] = src
+        inverse[name] = back
+    words = []
+    for rel in relators:
+        for c in range(n):
+            cur = c
+            out = []
+            for name, e in rel:
+                if e == 1:
+                    k = symbol.get((cur, name), 0)
+                    cur = columns[name][cur]
+                else:
+                    cur = inverse[name][cur]
+                    k = -symbol.get((cur, name), 0)
+                if k:
+                    out.append(k)
+            if cur != c:
+                raise RuntimeError("relator %r does not close at state %d" % (rel, c))
+            words.append(free_reduce(out))
+    return list(symbol), words
+
+
+def exponent_rows(words: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
+    """Exponent sums of words of signed 1-based generator numbers, one row
+    of n columns per word."""
+    rows = []
+    for word in words:
+        row = [0] * n
+        for k in word:
+            row[abs(k) - 1] += 1 if k > 0 else -1
+        rows.append(row)
+    return rows
 
 
 def _relator_key(rel: tuple[int, ...]) -> tuple[int, ...]:
@@ -222,124 +284,107 @@ def _relator_key(rel: tuple[int, ...]) -> tuple[int, ...]:
     return min(variants)
 
 
-def subgroup_presentation(
-    t: CosetTable,
-    tr: tuple[str, ...] | None = None,
-    ambient_relators: tuple[str, ...] = AMBIENT_RELATORS,
-) -> SubgroupPresentation:
+def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     """Reidemeister-Schreier rewriting of the ambient relator conjugates.
 
-    Generators are the Schreier generators with freely trivial words
-    dropped; each ambient relator is pushed through every coset and read
-    off as a word in those generators.  Duplicate and freely trivial
-    relators are discarded eagerly.
+    Every non-tree edge of the transversal's tree starts as a generator
+    and S^2, U^3 are read from every coset; the Tietze pass then deletes
+    the edges whose Schreier word is trivial (they fall to relators of
+    length 1) and merges pairs tied by relators of length 2.  Witness
+    words are computed for the surviving generators only.
     """
-    if tr is None:
-        tr = transversal(t)
-    index_of: dict[tuple[int, str], int] = {}
-    witnesses: list[GeneratorWord] = []
-    for c in range(t.n):
-        for a in "SU":
-            w = _schreier_word(t, tr, c, a)
-            if w:
-                index_of[(c, a)] = len(witnesses)
-                witnesses.append(GeneratorWord(w, "psl"))
-    relators: list[tuple[int, ...]] = []
-    seen_keys = set()
-    for c in range(t.n):
-        for rel in ambient_relators:
-            cur = c
-            symbols: list[int] = []
-            for letter in rel:
-                if letter in "SU":
-                    g = index_of.get((cur, letter))
-                    if g is not None:
-                        symbols.append(g + 1)
-                    cur = t.apply(cur, letter)
-                elif letter == "u":
-                    prev = t.apply(cur, "u")
-                    g = index_of.get((prev, "U"))
-                    if g is not None:
-                        symbols.append(-(g + 1))
-                    cur = prev
-                else:
-                    raise ValueError("unknown relator letter %r" % letter)
-            if cur != c:
-                raise RuntimeError("relator scan did not close")
-            reduced = _free_reduce(symbols)
-            if not reduced:
-                continue
-            key = _relator_key(reduced)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                relators.append(reduced)
-    witnesses, relators = _eliminate_short_relators(witnesses, relators)
+    tr, tree = transversal_with_tree(t)
+    edges, words = rewrite_relators({"S": t.s, "U": t.u}, tree, AMBIENT_RELATORS)
+    survivors, relators = _eliminate_short_relators(len(edges), words)
+    witnesses = tuple(
+        GeneratorWord(_schreier_word(t, tr, *edges[k - 1])) for k in survivors
+    )
     relators.sort(key=lambda r: (len(r), r))
-    return SubgroupPresentation(tuple(witnesses), tuple(relators))
+    return SubgroupPresentation(witnesses, tuple(relators))
+
+
+def _is_short(rel: tuple[int, ...]) -> bool:
+    """Length 1, or length 2 over two distinct generators."""
+    return len(rel) <= 2 and len({abs(k) for k in rel}) == len(rel)
 
 
 def _eliminate_short_relators(
-    witnesses: list[GeneratorWord], relators: list[tuple[int, ...]]
-) -> tuple[list[GeneratorWord], list[tuple[int, ...]]]:
+    n_generators: int, words: list[tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
     """Tietze elimination using relators of length 1 and mixed length 2.
 
     A relator g = 1 deletes the generator outright; a relator relating two
     distinct generators identifies one with (the inverse of) the other and
     the higher-numbered one is dropped.  Torsion relators g^2, g^3 are
     left alone, so the Kurosh shape stays visible in the presentation.
+    The earliest short relator is used first, and relators equal up to
+    rotation and inversion are kept once, the earliest.  An occurrence
+    index re-reads only the relators that hold the eliminated generator;
+    they are rewritten at once, so no chain of substitutions builds up.
+    Returns the surviving generators (1-based, ascending) and the
+    relators renumbered over them.
     """
-    while True:
-        cleaned: list[tuple[int, ...]] = []
-        seen = set()
-        for rel in relators:
-            rel = _free_reduce(list(rel))
-            if not rel:
-                continue
-            key = _relator_key(rel)
-            if key not in seen:
-                seen.add(key)
-                cleaned.append(rel)
-        relators = cleaned
-        victim = repl = None
-        for rel in relators:
-            if len(rel) == 1:
-                victim, repl = abs(rel[0]), ()
-                break
-            if len(rel) == 2 and abs(rel[0]) != abs(rel[1]):
-                a, b = rel
-                if abs(a) > abs(b):
-                    a, b = b, a
-                # g_|b|^sign(b) = g_a^{-sign(a)}
-                victim = abs(b)
-                repl = (-a,) if b > 0 else (a,)
-                break
-        if victim is None:
-            return witnesses, relators
+    rels: list[tuple[int, ...] | None] = [None] * len(words)
+    holder: dict[tuple[int, ...], int] = {}  # relator key -> index holding it
+    occurs: list[set[int]] = [set() for _ in range(n_generators + 1)]
+    short: list[int] = []  # heap of indices of short relators, maybe stale
 
-        def shift(k: int) -> int:
-            mag = abs(k) - (abs(k) > victim)
-            return mag if k > 0 else -mag
+    def drop(i: int) -> None:
+        for k in rels[i]:
+            occurs[abs(k)].discard(i)
+        del holder[_relator_key(rels[i])]
+        rels[i] = None
 
-        inv_repl = tuple(-k for k in reversed(repl))
-        out: list[tuple[int, ...]] = []
-        for rel in relators:
-            symbols: list[int] = []
-            for k in rel:
-                if abs(k) == victim:
-                    symbols.extend(repl if k > 0 else inv_repl)
-                else:
-                    symbols.append(k)
-            out.append(tuple(shift(k) for k in symbols))
-        relators = out
-        del witnesses[victim - 1]
+    def place(i: int, rel: tuple[int, ...]) -> None:
+        """Store rel at i unless it is empty or an earlier relator has its key."""
+        if not rel:
+            return
+        key = _relator_key(rel)
+        j = holder.get(key, i)
+        if j < i:
+            return
+        if j > i:
+            drop(j)
+        holder[key] = i
+        rels[i] = rel
+        for k in rel:
+            occurs[abs(k)].add(i)
+        if _is_short(rel):
+            heapq.heappush(short, i)
+
+    for i, word in enumerate(words):
+        place(i, word)
+    alive = [True] * (n_generators + 1)
+    while short:
+        rel = rels[heapq.heappop(short)]
+        if rel is None or not _is_short(rel):
+            continue
+        if len(rel) == 1:
+            victim, repl = abs(rel[0]), ()
+        else:
+            a, b = sorted(rel, key=abs)
+            # g_|b|^sign(b) = g_a^{-sign(a)}
+            victim = abs(b)
+            repl = (-a,) if b > 0 else (a,)
+        sub = {victim: repl, -victim: tuple(-k for k in repl)}
+        alive[victim] = False
+        touched = sorted(occurs[victim])
+        rewritten = []
+        for j in touched:
+            rewritten.append(free_reduce(x for k in rels[j] for x in sub.get(k, (k,))))
+            drop(j)
+        for j, rel in zip(touched, rewritten):
+            place(j, rel)
+    survivors = [k for k in range(1, n_generators + 1) if alive[k]]
+    number = {k: i + 1 for i, k in enumerate(survivors)}
+    relators = [
+        tuple(number[k] if k > 0 else -number[-k] for k in rel)
+        for rel in rels
+        if rel is not None
+    ]
+    return survivors, relators
 
 
 def abelianized_relation_matrix(p: SubgroupPresentation) -> list[list[int]]:
     """Exponent-sum rows of the relators, one column per generator."""
-    rows = []
-    for rel in p.relators:
-        row = [0] * p.n_generators
-        for k in rel:
-            row[abs(k) - 1] += 1 if k > 0 else -1
-        rows.append(row)
-    return rows
+    return exponent_rows(p.relators, p.n_generators)

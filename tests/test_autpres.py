@@ -17,8 +17,9 @@ from congsub.autpres import (
     stabilizer_relation_rows,
     w_inv,
     w_mul,
-    w_reduce,
+    _eval_in_group,
     _state_action,
+    _tok_inv,
 )
 from congsub.fingroups import (
     SignedEpi,
@@ -29,6 +30,7 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
+from congsub.rewriting import free_reduce, rewrite_relators
 
 TEST_GROUPS = [
     cyclic(2),
@@ -42,7 +44,7 @@ TEST_GROUPS = [
 
 
 def test_free_word_algebra():
-    assert w_reduce((1, -1, 2)) == (2,)
+    assert free_reduce((1, -1, 2)) == (2,)
     assert w_mul(X, Y, w_inv(Y)) == X
     assert w_inv((1, 2)) == (-2, -1)
 
@@ -120,8 +122,6 @@ def test_signed_table_columns_are_permutations():
     table = signed_coset_table(g, epi_set(g)[0])
     for name in GENS:
         assert sorted(table.forward[name]) == list(range(table.n))
-        for src, dst in enumerate(table.forward[name]):
-            assert table.backward[name][dst] == src
 
 
 def test_tree_is_spanning():
@@ -138,3 +138,40 @@ def test_relation_rows_shape():
     for row in rows:
         assert len(row) == n_syms
         assert any(row)
+
+
+def _act_on_pair(g, f, state):
+    """The signed pair state precomposed with the automorphism f."""
+    gx, gy, sign = state
+    return (
+        _eval_in_group(g, f[0], gx, gy),
+        _eval_in_group(g, f[1], gx, gy),
+        sign * a_det(f),
+    )
+
+
+@pytest.mark.parametrize(
+    "g", [cyclic(2), abelian(2, 2), symmetric(3)], ids=lambda g: g.tag
+)
+def test_rewritten_relators_are_products_of_schreier_generators(g):
+    # each Schreier generator is evaluated as an automorphism from its
+    # tree words, independently of the coset table that numbered it
+    pi0 = epi_set(g)[0]
+    base = (pi0.gx, pi0.gy, 1)
+    table = signed_coset_table(g, pi0)
+    edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
+    tree_word = {0: ()}
+    for c, name in sorted(table.tree, key=lambda e: table.forward[e[1]][e[0]]):
+        tree_word[table.forward[name][c]] = tree_word[c] + ((name, 1),)
+    gen_word = [
+        tree_word[c] + ((name, 1),) + _tok_inv(tree_word[table.forward[name][c]])
+        for c, name in edges
+    ]
+    for w in gen_word:
+        assert _act_on_pair(g, evaluate(w), base) == base
+    assert len(words) == len(presentation().relators) * table.n
+    for word in words:
+        product = ()
+        for k in word:
+            product += gen_word[k - 1] if k > 0 else _tok_inv(gen_word[-k - 1])
+        assert evaluate(product) == AUT_ID

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from congsub import cli
 from congsub.cli import main
+from congsub.cosets import CosetCeilingError
 
 
 def run(capsys, *argv):
@@ -120,3 +122,24 @@ def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "verify", "abelianization", "--max-m", "5", "--json")
     _, out2, _ = run(capsys, "verify", "abelianization", "--max-m", "5", "--json")
     assert out1 == out2
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(m, n):
+        raise RuntimeError("Euler identity violated")
+
+    monkeypatch.setattr(cli, "congruence_table", broken)
+    code, out, err = run(capsys, "decompose", "--m", "3", "--n", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: Euler identity violated\n"
+
+
+def test_ceiling_error_keeps_its_exit_code(capsys, monkeypatch):
+    def too_big(m, n):
+        raise CosetCeilingError("table needs 36 cosets, ceiling is 10")
+
+    monkeypatch.setattr(cli, "congruence_table", too_big)
+    code, _, err = run(capsys, "table", "--m", "6", "--n", "3")
+    assert code == cli.EXIT_CEILING == 3
+    assert "ceiling" in err and "internal" not in err

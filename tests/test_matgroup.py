@@ -69,11 +69,7 @@ def test_word_inverse():
 
 def test_word_alphabet_checked():
     with pytest.raises(ValueError):
-        GeneratorWord("ST", "psl")
-    with pytest.raises(ValueError):
-        GeneratorWord("SU", "sl")
-    with pytest.raises(ValueError):
-        GeneratorWord("S", "other")
+        GeneratorWord("ST")
 
 
 def test_word_matrix_basics():
