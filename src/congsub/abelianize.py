@@ -15,7 +15,9 @@ Three routes produce invariants of finitely generated abelian groups:
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from . import autpres, fingroups, rewriting
@@ -62,69 +64,96 @@ class AbelianInvariants:
 def smith_invariants(rows: list[list[int]], n_generators: int) -> AbelianInvariants:
     """Invariant factors of the cokernel of an integer relation matrix.
 
-    Rows are relations, columns the n_generators abelian generators.
-    Elementary row/column reduction over unbounded integers; a sparse
-    pass clears ±1 pivots first so large rewritten presentations stay
-    cheap.
+    Rows are relations, given as dense lists, and columns are the
+    n_generators abelian generators.  The rows are made sparse and passed
+    to ``_sparse_smith``, the one kernel: unit-pivot elimination in
+    Markowitz order, then full elementary reduction of the small dense
+    residue, all over unbounded integers.
     """
     sparse: list[dict[int, int]] = []
     for r in rows:
         if len(r) != n_generators:
             raise ValueError("row length does not match generator count")
-        d = {j: v for j, v in enumerate(r) if v}
-        if d:
-            sparse.append(d)
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(sparse):
+        cols = list(compress(range(n_generators), r))
+        if cols:
+            sparse.append({j: r[j] for j in cols})
+    return _sparse_smith(sparse, n_generators)
+
+
+def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
+    """Invariant factors of the cokernel of sparse rows ({column: entry}).
+
+    Unit-pivot elimination after Havas, Holt & Rees (Recognizing badly
+    presented Z-modules, 1993): a ±1 entry clears its column from every
+    other row and removes its row and column.  Pivots come from a heap
+    keyed by the Markowitz cost (row length - 1) * (column count - 1),
+    which bounds the fill-in; entries are checked when popped, skipped if
+    their row is gone or no longer holds a unit there, and pushed again
+    if their cost has changed.  Columns that no live row holds join the
+    free rank, and only the residue (live rows x columns that still
+    occur) goes to ``_dense_smith_diagonal``.  The rows are consumed.
+    """
+    holders: dict[int, set[int]] = {}  # column -> indices of the rows holding it
+    for i, r in enumerate(rows):
         for j in r:
-            col_rows.setdefault(j, set()).add(i)
-    dead_rows: set[int] = set()
-    unit_cols: list[int] = []
-    while True:
-        pivot = None
-        for i, r in enumerate(sparse):
-            if i in dead_rows:
-                continue
-            for j, v in r.items():
-                if v in (1, -1):
-                    pivot = (i, j, v)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj, pv = pivot
-        prow = sparse[pi]
-        for i in list(col_rows.get(pj, ())):
-            if i == pi or i in dead_rows:
-                continue
-            factor = sparse[i][pj] * pv  # multiply by pv = divide by ±1
-            for j, v in prow.items():
-                new = sparse[i].get(j, 0) - factor * v
-                if new:
-                    sparse[i][j] = new
-                    col_rows.setdefault(j, set()).add(i)
-                else:
-                    sparse[i].pop(j, None)
-                    col_rows.get(j, set()).discard(i)
-        dead_rows.add(pi)
-        unit_cols.append(pj)
-    live_cols = sorted(set(range(n_generators)) - set(unit_cols))
-    col_pos = {j: k for k, j in enumerate(live_cols)}
-    dense = []
-    for i, r in enumerate(sparse):
-        if i in dead_rows:
+            holders.setdefault(j, set()).add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def units(i: int):
+        r = rows[i]
+        k = len(r) - 1
+        return [(k * (len(holders[j]) - 1), i, j) for j, v in r.items() if v == 1 or v == -1]
+
+    for i in range(len(rows)):
+        heap.extend(units(i))
+    heapq.heapify(heap)
+    live = [True] * len(rows)
+    eliminated = 0
+    while heap:
+        cost, pi, pj = heapq.heappop(heap)
+        prow = rows[pi]
+        pv = prow.get(pj)
+        if not live[pi] or (pv != 1 and pv != -1):
             continue
-        row = [0] * len(live_cols)
-        for j, v in r.items():
-            row[col_pos[j]] = v
-        if any(row):
+        now = (len(prow) - 1) * (len(holders[pj]) - 1)
+        if now != cost:
+            heapq.heappush(heap, (now, pi, pj))
+            continue
+        live[pi] = False
+        eliminated += 1
+        rest = [(j, v) for j, v in prow.items() if j != pj]
+        for j, _ in rest:
+            holders[j].discard(pi)
+        touched = holders.pop(pj)
+        touched.discard(pi)
+        for i in touched:
+            r = rows[i]
+            factor = r.pop(pj) * pv  # multiply by pv = divide by ±1
+            for j, v in rest:
+                new = r.get(j, 0) - factor * v
+                if new:
+                    if j not in r:
+                        holders[j].add(i)
+                    r[j] = new
+                else:
+                    del r[j]
+                    holders[j].discard(i)
+        for i in touched:
+            for entry in units(i):
+                heapq.heappush(heap, entry)
+    occurring = sorted(j for j, held in holders.items() if held)
+    col_pos = {j: k for k, j in enumerate(occurring)}
+    dense = []
+    for i, r in enumerate(rows):
+        if live[i] and r:
+            row = [0] * len(occurring)
+            for j, v in r.items():
+                row[col_pos[j]] = v
             dense.append(row)
-    diag = _dense_smith_diagonal(dense, len(live_cols))
+    diag = _dense_smith_diagonal(dense, len(occurring))
     torsion = _fix_divisibility([d for d in diag if d > 1])
     torsion = [d for d in torsion if d > 1]
-    free = len(live_cols) - len(diag)
-    return AbelianInvariants(tuple(torsion), free)
+    return AbelianInvariants(tuple(torsion), n_cols - eliminated - len(diag))
 
 
 def _dense_smith_diagonal(m: list[list[int]], n_cols: int) -> list[int]:
@@ -254,7 +283,7 @@ def full_abelianization(
     if pi0 is None:
         pi0 = _default_epi(g)
     rows, n_syms = autpres.stabilizer_relation_rows(g, pi0)
-    return smith_invariants(rows, n_syms)
+    return _sparse_smith(rows, n_syms)
 
 
 def image_abelianization(

@@ -27,7 +27,7 @@ from itertools import chain
 
 from .cosets import orbit_table
 from .fingroups import Epimorphism, FiniteGroup
-from .rewriting import exponent_rows, free_reduce, rewrite_relators
+from .rewriting import exponent_sums, free_reduce, rewrite_relators
 
 # --- free group words on x (=1) and y (=2); negatives are inverses ---
 
@@ -263,14 +263,14 @@ def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> SignedTable:
 
 def stabilizer_relation_rows(
     g: FiniteGroup, pi0: Epimorphism
-) -> tuple[list[list[int]], int]:
+) -> tuple[list[dict[int, int]], int]:
     """Abelianized Reidemeister-Schreier data for the special stabilizer.
 
-    Returns exponent-sum rows over the non-tree Schreier generators of the
-    stabilizer of the signed pair, one row per (relator, coset) with the
-    zero rows dropped.
+    Returns sparse exponent-sum rows ({column: nonzero sum}) over the
+    n_syms non-tree Schreier generators of the stabilizer of the signed
+    pair, one row per (relator, coset) with the zero rows dropped, and
+    n_syms.
     """
     table = signed_coset_table(g, pi0)
     edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
-    rows = exponent_rows(words, len(edges))
-    return [row for row in rows if any(row)], len(edges)
+    return [row for row in exponent_sums(words) if row], len(edges)

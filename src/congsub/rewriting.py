@@ -262,15 +262,16 @@ def rewrite_relators(
     return list(symbol), words
 
 
-def exponent_rows(words: Iterable[tuple[int, ...]], n: int) -> list[list[int]]:
-    """Exponent sums of words of signed 1-based generator numbers, one row
-    of n columns per word."""
+def exponent_sums(words: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
+    """Exponent sums of words of signed 1-based generator numbers, one
+    sparse row {0-based column: nonzero sum} per word."""
     rows = []
     for word in words:
-        row = [0] * n
+        sums: dict[int, int] = {}
         for k in word:
-            row[abs(k) - 1] += 1 if k > 0 else -1
-        rows.append(row)
+            j = abs(k) - 1
+            sums[j] = sums.get(j, 0) + (1 if k > 0 else -1)
+        rows.append({j: v for j, v in sums.items() if v})
     return rows
 
 
@@ -386,5 +387,12 @@ def _eliminate_short_relators(
 
 
 def abelianized_relation_matrix(p: SubgroupPresentation) -> list[list[int]]:
-    """Exponent-sum rows of the relators, one column per generator."""
-    return exponent_rows(p.relators, p.n_generators)
+    """Exponent-sum rows of the relators, one dense row with a column per
+    generator."""
+    rows = []
+    for sums in exponent_sums(p.relators):
+        row = [0] * p.n_generators
+        for j, v in sums.items():
+            row[j] = v
+        rows.append(row)
+    return rows

@@ -3,10 +3,15 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from congsub.abelianize import (
     AbelianInvariants,
     PerfectGroupError,
+    _dense_smith_diagonal,
+    _fix_divisibility,
     free_rank_formula,
     full_abelianization,
     hall_abelianization,
@@ -149,6 +154,80 @@ def test_smith_invariant_under_unimodular_scrambling():
         assert smith_invariants(rows, n) == want
 
 
+@st.composite
+def integer_matrices(draw):
+    """0-8 rows x 1-8 columns, entries in -6..6; zero rows and columns
+    are drawn on purpose."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6)
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for i in draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=2)):
+        if i < n_rows:
+            rows[i] = [0] * n_cols
+    for j in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    return rows, n_cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_smith_against_sympy_invariant_factors(matrix):
+    rows, n = matrix
+    # sympy's diagonal has min(rows, n) entries, 0s and 1s included
+    diag = [abs(int(d)) for d in invariant_factors(Matrix(len(rows), n, sum(rows, [])), domain=ZZ)]
+    assert len(diag) == min(len(rows), n)
+    want = AbelianInvariants(
+        tuple(sorted(d for d in diag if d > 1)), n - sum(1 for d in diag if d)
+    )
+    assert smith_invariants(rows, n) == want
+
+
+def _scramble(rows, n, rng, operations):
+    """Random sparse unimodular row and column operations (in place)."""
+    for _ in range(operations):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            for k in range(n):
+                rows[i][k] += c * rows[j][k]
+        else:
+            for row in rows:
+                row[i] += c * row[j]
+
+
+def test_smith_markowitz_path_at_size():
+    # a 300 x 300 diagonal, scrambled and permuted: hundreds of unit pivots
+    # whose row lengths and column counts change under the elimination
+    rng = random.Random(2027)
+    n = 300
+    diag = [rng.choice([1] * 12 + [0, 2, 4, 12]) for _ in range(n)]
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    _scramble(rows, n, rng, 600)
+    rng.shuffle(rows)
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[row[j] for j in order] for row in rows]
+    assert sum(1 for row in rows for v in row if v) > 2 * n
+    # 2 | 4 | 12, so the sorted entries above 1 already form the chain
+    want = AbelianInvariants(tuple(sorted(d for d in diag if d > 1)), diag.count(0))
+    assert smith_invariants(rows, n) == want
+
+
+def test_smith_agrees_with_dense_reduction_alone():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(10, 30)
+        diag = [rng.choice([0, 1, 1, 1, 2, 3, 6]) for _ in range(n)]
+        rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        _scramble(rows, n, rng, 3 * n)
+        rows.extend([rng.choice((0, 0, 0, 2, -3)) for _ in range(n)] for _ in range(rng.randint(0, 5)))
+        dense = _dense_smith_diagonal(rows, n)
+        torsion = tuple(d for d in _fix_divisibility([d for d in dense if d > 1]) if d > 1)
+        assert smith_invariants(rows, n) == AbelianInvariants(torsion, n - len(dense))
+
+
 def test_free_rank_formula():
     assert free_rank_formula(4, 1) == 2
     assert free_rank_formula(4, 4) == 5
@@ -197,6 +276,14 @@ def test_full_dihedral_values():
     for r in (3, 4, 5, 6):
         inv = full_abelianization(dihedral(r))
         assert inv == AbelianInvariants((2,), 2 if r % 2 else 3), r
+
+
+def test_full_and_image_routes_for_sym4():
+    g = symmetric(4)
+    full = full_abelianization(g)
+    assert full == AbelianInvariants((), 6)
+    # the full abelianization surjects onto the image's
+    assert image_abelianization(g).free_rank <= full.free_rank
 
 
 def test_image_abelianization_level_two():
