@@ -300,7 +300,8 @@ def image_abelianization(
 
 
 def _default_epi(g: FiniteGroup) -> Epimorphism:
-    epis = fingroups.epi_set(g)
+    """The first generating pair, ``epi_set(g)[0]``, without listing the rest."""
+    epis = fingroups.epi_set(g, limit=1)
     if not epis:
         raise ValueError("group %s is not 2-generated" % g.tag)
     return epis[0]

@@ -9,10 +9,12 @@ and Schreier generator words are computed by plain orbit BFS.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .cosets import CosetTable, DEFAULT_CEILING, enumerate_cosets, orbit_table
 from .matgroup import Mat2, PslElement, matrix_to_word
@@ -48,38 +50,45 @@ class FiniteGroup:
         return self.mul(self.mul(x, y), self.inv(x))
 
     def closure(self, elements: tuple[int, ...]) -> frozenset[int]:
-        seen = {0, *elements}
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
-            for g in elements:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        """Subgroup generated by ``elements``.
+
+        Breadth-first from the identity, one layer at a time: each layer
+        is mapped through the table row of every generator (left
+        multiplication), so no product is formed one call at a time.
+        """
+        rows = [self.table[g].__getitem__ for g in set(elements)]
+        seen = {0}
+        layer = seen
+        while layer:
+            reached = set()
+            for row in rows:
+                reached.update(map(row, layer))
+            layer = reached - seen
+            seen |= layer
         return frozenset(seen)
 
     def commutator_subgroup(self) -> frozenset[int]:
-        comms = tuple(
-            sorted(
-                {
-                    self.mul(self.mul(x, y), self.inv(self.mul(y, x)))
-                    for x in range(self.order)
-                    for y in range(self.order)
-                }
-            )
-        )
-        return self.closure(comms)
+        table, inverse = self.table, self.inverse
+        comms = set()
+        # [x, y] = (x y)(y x)^-1, with y x read down column x
+        for row_x, col_x in zip(table, zip(*table)):
+            comms.update(table[xy][inverse[yx]] for xy, yx in zip(row_x, col_x))
+        return self.closure(tuple(sorted(comms)))
 
     def is_perfect(self) -> bool:
         return len(self.commutator_subgroup()) == self.order
 
     def element_order(self, x: int) -> int:
-        k, y = 1, x
+        return len(self._powers(x))
+
+    def _powers(self, x: int) -> list[int]:
+        """The cyclic subgroup <x>, as 1, x, x^2, ... in order."""
+        table = self.table
+        powers, y = [0], x
         while y != 0:
-            y = self.mul(y, x)
-            k += 1
-        return k
+            powers.append(y)
+            y = table[y][x]
+        return powers
 
 
 def _build(tag, elements, mul, namer):
@@ -94,14 +103,11 @@ def _build(tag, elements, mul, namer):
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
             table[i][j] = index[mul(x, y)]
-    inverse = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if table[i][j] == 0:
-                inverse[i] = j
-                break
-        else:
-            raise ValueError("element %d has no inverse" % i)
+    inverse = []
+    for i, row in enumerate(table):
+        if 0 not in row:
+            raise RuntimeError("element %d has no inverse" % i)
+        inverse.append(row.index(0))
     g = FiniteGroup(
         tag,
         tuple(tuple(r) for r in table),
@@ -113,14 +119,28 @@ def _build(tag, elements, mul, namer):
 
 
 def _check_axioms(g: FiniteGroup):
-    k = g.order
-    if any(g.mul(0, x) != x or g.mul(x, 0) != x for x in range(k)):
-        raise ValueError("identity axiom fails")
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
-                    raise ValueError("associativity fails at %s" % ((x, y, z),))
+    """Identity and full |G|^3 associativity check of the Cayley table.
+
+    Every group builder multiplies elements of an actual group, so a
+    failure here is a fault in the builder, not in its input: it raises
+    RuntimeError, naming the first failing (x, y, z) in lexicographic
+    order.  Associativity is checked for one x at a time over all (y, z):
+    with the rows as byte strings (element indices fit in a byte, since
+    MAX_GROUP_ORDER <= 256), x (y z) is the whole table translated by the
+    row of x, and (x y) z is the rows of the products x y, concatenated.
+    """
+    table = g.table
+    k = len(table)
+    if table[0] != tuple(range(k)) or any(row[0] != x for x, row in enumerate(table)):
+        raise RuntimeError("identity axiom fails")
+    rows = [bytes(row) for row in table]
+    whole = b"".join(rows)
+    for x, row_x in enumerate(rows):
+        xy_z = b"".join(map(rows.__getitem__, row_x))
+        x_yz = whole.translate(row_x.ljust(256, b"\0"))
+        if xy_z != x_yz:
+            p = next(p for p, (a, b) in enumerate(zip(xy_z, x_yz)) if a != b)
+            raise RuntimeError("associativity fails at %s" % ((x,) + divmod(p, k),))
 
 
 def cyclic(m: int) -> FiniteGroup:
@@ -168,8 +188,6 @@ def symmetric(s: int) -> FiniteGroup:
     """Symmetric group on s points; permutation tuples, lexicographic."""
     if not 1 <= s <= 5:
         raise ValueError("s must be in 1..5")
-    import itertools
-
     elems = sorted(itertools.permutations(range(s)))
     return _build("sym:%d" % s, elems, _perm_mul, str)
 
@@ -178,8 +196,6 @@ def alternating(s: int) -> FiniteGroup:
     """Alternating group on s points, s in 4..5."""
     if not 3 <= s <= 5:
         raise ValueError("s must be in 3..5")
-    import itertools
-
     def parity(p):
         inv = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
         return inv % 2
@@ -228,6 +244,8 @@ def from_permutations(cycle_specs: str) -> FiniteGroup:
         moves = {}
         for cyc in cycles:
             pts = [int(v) for v in cyc.split()]
+            if any(v < 1 for v in pts):
+                raise ValueError("points are 1-based, got cycle %r" % cyc)
             if len(set(pts)) != len(pts):
                 raise ValueError("repeated point in cycle %r" % cyc)
             for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -288,14 +306,44 @@ class SignedEpi(NamedTuple):
     sign: int
 
 
-def epi_set(g: FiniteGroup) -> list[Epimorphism]:
-    """All ordered generating pairs, in lexicographic element order."""
-    return [
-        Epimorphism(x, y)
-        for x in range(g.order)
-        for y in range(g.order)
-        if len(g.closure((x, y))) == g.order
-    ]
+def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
+    """Ordered generating pairs, lazily, in lexicographic element order.
+
+    <x, y> depends only on the cyclic subgroups <x> and <y>, so one
+    closure is computed per unordered pair of cyclic subgroups, the first
+    time a pair of elements meets it.
+    """
+    k = g.order
+    cyclic_id: list[int] = []
+    generator_of: list[int] = []
+    ids: dict[frozenset[int], int] = {}
+    for x in range(k):
+        c = ids.setdefault(frozenset(g._powers(x)), len(ids))
+        if c == len(generator_of):
+            generator_of.append(x)
+        cyclic_id.append(c)
+    generates: dict[tuple[int, int], bool] = {}
+    for x in range(k):
+        cx = cyclic_id[x]
+        for y in range(k):
+            cy = cyclic_id[y]
+            key = (cx, cy) if cx <= cy else (cy, cx)
+            ok = generates.get(key)
+            if ok is None:
+                pair = (generator_of[key[0]], generator_of[key[1]])
+                ok = generates[key] = len(g.closure(pair)) == k
+            if ok:
+                yield Epimorphism(x, y)
+
+
+def epi_set(g: FiniteGroup, limit: int | None = None) -> list[Epimorphism]:
+    """All ordered generating pairs, in lexicographic element order; only
+    the first ``limit`` of them when a limit is given.
+
+    Exact: <x, y> is computed once per unordered pair of cyclic subgroups
+    (<x>, <y>) rather than once per pair of elements.
+    """
+    return list(itertools.islice(_generating_pairs(g), limit))
 
 
 # Nielsen moves on generator pairs (by precomposition), the determinant of
@@ -336,13 +384,22 @@ def act_word(g: FiniteGroup, word: str, s: SignedEpi) -> SignedEpi:
     return s
 
 
+def _rho_mul(m, n):
+    a, b, c, d = m
+    e, f, gg, h = n
+    return (a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h)
+
+
+def _rho_inv(m):
+    """Inverse of a determinant ±1 integer matrix."""
+    a, b, c, d = m
+    det = a * d - b * c
+    return (det * d, -det * b, -det * c, det * a)
+
+
 def rho_image(word: str) -> tuple[int, int, int, int]:
     """Abelianized action of a word in the Nielsen moves (det ±1)."""
-    a, b, c, d = 1, 0, 0, 1
-    for letter in word:
-        e, f, gg, h = AUT_RHO[letter]
-        a, b, c, d = a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h
-    return (a, b, c, d)
+    return functools.reduce(_rho_mul, map(AUT_RHO.__getitem__, word), (1, 0, 0, 1))
 
 
 def rho_det(mat: tuple[int, int, int, int]) -> int:
@@ -365,7 +422,9 @@ class OrbitStabilizer:
     automorphism group; halving it gives the index in the special
     automorphism group.  sign_mixing records whether some word returns to
     the starting pair with flipped sign (equivalently, whether the plain
-    stabilizer contains determinant -1 elements).
+    stabilizer contains determinant -1 elements).  stabilizer_rho holds
+    the distinct abelianized actions of the stabilizer words, in order of
+    first occurrence.
     """
 
     signed_orbit_size: int
@@ -373,6 +432,7 @@ class OrbitStabilizer:
     aut_plus_index: int
     sign_mixing: bool
     stabilizer_words: tuple[str, ...]
+    stabilizer_rho: tuple[tuple[int, int, int, int], ...]
 
 
 def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
@@ -382,19 +442,26 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
         SignedEpi(pi0.gx, pi0.gy, 1),
         {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
     )
+    # tree word and its abelianized action per state, built along the tree
     words = [""] * len(states)
+    mats = [(1, 0, 0, 1)] * len(states)
     for i, x in tree:
-        words[columns[x][i]] = words[i] + x
+        j = columns[x][i]
+        words[j] = words[i] + x
+        mats[j] = _rho_mul(mats[i], AUT_RHO[x])
+    # One word per non-tree edge (i, x), and no two alike: the tree words
+    # are prefix-closed and words[i] + x is not one of them, so it is not
+    # a prefix of another edge's word words[i'] + x' + ... either.
     tree_edges = set(tree)
     stab: list[str] = []
-    seen_words = set()
+    stab_rho: dict[tuple[int, int, int, int], None] = {}
     for i, word in enumerate(words):
         for x in AUT_LETTERS:
             if (i, x) not in tree_edges:
-                w = word + x + invert_aut_word(words[columns[x][i]])
-                if w not in seen_words:
-                    seen_words.add(w)
-                    stab.append(w)
+                j = columns[x][i]
+                stab.append(word + x + invert_aut_word(words[j]))
+                # rho is a homomorphism: rho(w) = M_i rho(x) M_j^-1
+                stab_rho[_rho_mul(_rho_mul(mats[i], AUT_RHO[x]), _rho_inv(mats[j]))] = None
     signed = len(states)
     epis = len({(s.gx, s.gy) for s in states})
     if signed % 2 != 0:
@@ -405,6 +472,7 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
         aut_plus_index=signed // 2,
         sign_mixing=(signed == 2 * epis),
         stabilizer_words=tuple(stab),
+        stabilizer_rho=tuple(stab_rho),
     )
 
 
@@ -416,16 +484,16 @@ def stabilizer_image_table(
 ) -> CosetTable:
     """Coset table of the projective image of the special stabilizer.
 
-    The stabilizer's Schreier generator words are pushed through the
-    abelianized action into PSL2(Z) (all have determinant +1), converted
-    to generator words, and enumerated by Todd-Coxeter.
+    The images of the stabilizer's Schreier generators under the
+    abelianized action (all of determinant +1) are taken into PSL2(Z),
+    converted to generator words, and enumerated by Todd-Coxeter.
     """
     if orbit is None:
         orbit = orbit_stabilizer(g, pi0)
     elements = []
     seen = set()
-    for w in orbit.stabilizer_words:
-        p = rho_psl(w)
+    for mat in orbit.stabilizer_rho:
+        p = PslElement(Mat2(*mat))
         if not p.is_identity() and p not in seen:
             seen.add(p)
             elements.append(p)

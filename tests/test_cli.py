@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from congsub import cli
+from congsub import cli, fingroups
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
 
@@ -143,3 +143,23 @@ def test_ceiling_error_keeps_its_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert code == cli.EXIT_CEILING == 3
     assert "ceiling" in err and "internal" not in err
+
+
+def test_broken_group_builder_is_an_internal_error(capsys, monkeypatch):
+    # a Latin square with identity that is not associative
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+    def broken(arg):
+        return fingroups._build("cyclic:5", list(range(5)), lambda x, y: loop[x][y], str)
+
+    monkeypatch.setitem(fingroups._SPEC_BUILDERS, "cyclic", broken)
+    code, out, err = run(capsys, "stabilizer", "--group", "cyclic:5")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: internal: associativity fails at (1, 1, 2)\n"
+
+
+def test_bad_permutation_point_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "stabilizer", "--group", "perm:(0 1)")
+    assert code == cli.EXIT_USAGE == 2
+    assert "1-based" in err and "internal" not in err
