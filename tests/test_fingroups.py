@@ -170,7 +170,7 @@ def _from_table(table):
 
 
 def _first_non_associative_triple(table):
-    """The triple loop the row-wise check replaces."""
+    """Reference: the first failing (x, y, z) in lexicographic order, by brute force."""
     k = len(table)
     for x, y, z in itertools.product(range(k), repeat=3):
         if table[table[x][y]][z] != table[x][table[y][z]]:
