@@ -272,13 +272,21 @@ def from_permutations(cycle_specs: str) -> FiniteGroup:
     return _build("perm:%s" % cycle_specs, elems, _perm_mul, str)
 
 
+def _ints(arg: str, count: int) -> list[int]:
+    """The ``count`` comma-separated integers of a spec argument."""
+    values = arg.split(",") if arg else []
+    if len(values) != count:
+        raise ValueError("want %d integer argument(s), got %r" % (count, arg))
+    return [int(v) for v in values]
+
+
 _SPEC_BUILDERS: dict[str, Callable[[str], FiniteGroup]] = {
-    "cyclic": lambda arg: cyclic(int(arg)),
-    "abelian": lambda arg: abelian(*(int(v) for v in arg.split(","))),
-    "dihedral": lambda arg: dihedral(int(arg)),
-    "sym": lambda arg: symmetric(int(arg)),
-    "alt": lambda arg: alternating(int(arg)),
-    "quaternion": lambda arg: quaternion(),
+    "cyclic": lambda arg: cyclic(*_ints(arg, 1)),
+    "abelian": lambda arg: abelian(*_ints(arg, 2)),
+    "dihedral": lambda arg: dihedral(*_ints(arg, 1)),
+    "sym": lambda arg: symmetric(*_ints(arg, 1)),
+    "alt": lambda arg: alternating(*_ints(arg, 1)),
+    "quaternion": lambda arg: quaternion(*_ints(arg, 0)),
     "perm": from_permutations,
 }
 

@@ -232,7 +232,8 @@ def index_formula(m: int, n: int) -> int:
     acc = Fraction(n * m * m)
     for p in distinct_primes(m):
         acc *= 1 - Fraction(1, p * p)
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise RuntimeError("index of Gamma(%d,%d) is not an integer: %s" % (m, n, acc))
     return int(acc)
 
 
@@ -247,5 +248,6 @@ def psl_index_formula(m: int, n: int) -> int:
     idx = index_formula(m, n)
     if is_member(m, n, NEG_IDENTITY):
         return idx
-    assert idx % 2 == 0
+    if idx % 2:
+        raise RuntimeError("odd SL index %d of Gamma(%d,%d) without -I" % (idx, m, n))
     return idx // 2

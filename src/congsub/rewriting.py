@@ -1,16 +1,15 @@
 """Reidemeister-Schreier machinery over PSL2(Z) coset tables.
 
 Given a complete coset table this module produces a prefix-closed Schreier
-transversal, a reduced Schreier generating set, a rewritten subgroup
-presentation, and the free-product decomposition data (free rank plus the
-counts of order-2 and order-3 factors, read off from fixed points of the
-S and U actions).  The relator rewriter ``rewrite_relators`` and
-``free_reduce`` work over any table of named permutation columns; the
-Aut(F2) route uses them too.
+transversal, a rewritten subgroup presentation whose witnesses are the
+reduced Schreier generating set, and the free-product decomposition data
+(free rank plus the counts of order-2 and order-3 factors, read off from
+fixed points of the S and U actions).  The relator rewriter
+``rewrite_relators`` and ``free_reduce`` work over any table of named
+permutation columns; the Aut(F2) route uses them too.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
@@ -66,50 +65,15 @@ def _schreier_word(t: CosetTable, tr, coset: int, letter: str) -> str:
 def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]:
     """Reduced Schreier generating set for the subgroup at coset 0.
 
-    Raw Schreier generators t_c * a * t_{c*a}^-1 over a in {S, U} are
-    thinned using the ambient torsion: the two generators of an S-orbit of
-    size 2 are mutually inverse (one is kept), and the three generators
-    around a U-orbit of size 3 multiply to 1 (the last nontrivial one is
-    dropped).  Fixed points contribute the torsion generators themselves.
-    For torsion-free subgroups the result is a free basis.
+    The witnesses of ``subgroup_presentation(t)``, each paired with its
+    matrix: k + f2 + f3 words for a subgroup F_k * (Z/2)^f2 * (Z/3)^f3,
+    so for torsion-free subgroups the result is a free basis.
     """
-    tr = transversal(t)
-    gens: list[str] = []
-    for c in range(t.n):
-        d = t.s[c]
-        if d == c:
-            gens.append(_schreier_word(t, tr, c, "S"))
-        elif c < d:
-            w = _schreier_word(t, tr, c, "S")
-            if w:
-                gens.append(w)
-    seen = set()
-    for c in range(t.n):
-        if c in seen:
-            continue
-        orbit = [c, t.u[c], t.u2[c]]
-        seen.update(orbit)
-        if orbit[1] == c:
-            gens.append(_schreier_word(t, tr, c, "U"))
-            continue
-        words = [_schreier_word(t, tr, e, "U") for e in orbit]
-        nontrivial = [w for w in words if w]
-        if len(nontrivial) == 3:
-            nontrivial = nontrivial[:2]
-        elif len(nontrivial) == 2:
-            nontrivial = nontrivial[:1]
-        elif len(nontrivial) == 1:
-            # forced identity: the other two edges are in the tree
-            if not word_to_matrix(nontrivial[0]).is_identity():
-                raise RuntimeError("corrupted table: non-closing U-orbit")
-            nontrivial = []
-        gens.extend(nontrivial)
     out = []
-    for w in gens:
-        elem = word_to_matrix(w)
+    for w in subgroup_presentation(t).witnesses:
         if t.trace(0, w) != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        out.append((GeneratorWord(w), elem))
+        out.append((w, word_to_matrix(w.letters)))
     return out
 
 
@@ -167,7 +131,11 @@ def free_rank(t: CosetTable) -> int:
     if not is_free(t):
         raise ValueError("subgroup has torsion; no free rank")
     dec = kurosh_decompose(t)
-    assert dec.free_rank == 1 + t.n // 6
+    if dec.free_rank != 1 + t.n // 6:
+        raise RuntimeError(
+            "free rank %d of a torsion-free table of index %d is not 1 + i/6"
+            % (dec.free_rank, t.n)
+        )
     return dec.free_rank
 
 
@@ -275,24 +243,18 @@ def exponent_sums(words: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
     return rows
 
 
-def _relator_key(rel: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical form under cyclic rotation and inversion, for dedup."""
-    variants = []
-    inv = tuple(-k for k in reversed(rel))
-    for w in (rel, inv):
-        for i in range(len(w)):
-            variants.append(w[i:] + w[:i])
-    return min(variants)
-
-
 def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     """Reidemeister-Schreier rewriting of the ambient relator conjugates.
 
     Every non-tree edge of the transversal's tree starts as a generator
-    and S^2, U^3 are read from every coset; the Tietze pass then deletes
-    the edges whose Schreier word is trivial (they fall to relators of
-    length 1) and merges pairs tied by relators of length 2.  Witness
-    words are computed for the surviving generators only.
+    and S^2, U^3 are read from every coset.  Each generator occurs only in
+    the relators read around its own S- or U-orbit, and those are
+    rotations of one word of length at most 3, so the Tietze pass deletes
+    one generator per orbit of size 2 or 3 and the other rotations reduce
+    to the empty word.  What is left is k + f2 + f3 generators and only
+    the torsion relators g^2 (one per fixed point of S) and g^3 (one per
+    fixed point of U).  Witness words are computed for the surviving
+    generators only.
     """
     tr, tree = transversal_with_tree(t)
     edges, words = rewrite_relators({"S": t.s, "U": t.u}, tree, AMBIENT_RELATORS)
@@ -304,84 +266,47 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     return SubgroupPresentation(witnesses, tuple(relators))
 
 
-def _is_short(rel: tuple[int, ...]) -> bool:
-    """Length 1, or length 2 over two distinct generators."""
-    return len(rel) <= 2 and len({abs(k) for k in rel}) == len(rel)
-
-
 def _eliminate_short_relators(
     n_generators: int, words: list[tuple[int, ...]]
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Tietze elimination using relators of length 1 and mixed length 2.
+    """Tietze elimination through relators of length at most 3 over
+    distinct generators.
 
-    A relator g = 1 deletes the generator outright; a relator relating two
-    distinct generators identifies one with (the inverse of) the other and
-    the higher-numbered one is dropped.  Torsion relators g^2, g^3 are
-    left alone, so the Kurosh shape stays visible in the presentation.
-    The earliest short relator is used first, and relators equal up to
-    rotation and inversion are kept once, the earliest.  An occurrence
-    index re-reads only the relators that hold the eliminated generator;
-    they are rewritten at once, so no chain of substitutions builds up.
-    Returns the surviving generators (1-based, ascending) and the
-    relators renumbered over them.
+    The relators are scanned once, in order.  A short relator is rotated
+    so that its highest generator v comes last, rest * v^e = 1, and v is
+    replaced by rest^-1 (e = +1) or by rest (e = -1) in every relator
+    that holds it, found through an occurrence index.  Over
+    <S, U | S^2, U^3> the relators that share a generator are rotations
+    of one word, so the substitution reduces them all to the empty word
+    and no relator becomes short after the scan has passed it.  Torsion
+    relators g^2, g^3 are left alone, so the Kurosh shape stays visible
+    in the presentation.  Returns the surviving generators (1-based,
+    ascending) and the nonempty relators renumbered over them.
     """
-    rels: list[tuple[int, ...] | None] = [None] * len(words)
-    holder: dict[tuple[int, ...], int] = {}  # relator key -> index holding it
+    rels = list(words)
     occurs: list[set[int]] = [set() for _ in range(n_generators + 1)]
-    short: list[int] = []  # heap of indices of short relators, maybe stale
-
-    def drop(i: int) -> None:
-        for k in rels[i]:
-            occurs[abs(k)].discard(i)
-        del holder[_relator_key(rels[i])]
-        rels[i] = None
-
-    def place(i: int, rel: tuple[int, ...]) -> None:
-        """Store rel at i unless it is empty or an earlier relator has its key."""
-        if not rel:
-            return
-        key = _relator_key(rel)
-        j = holder.get(key, i)
-        if j < i:
-            return
-        if j > i:
-            drop(j)
-        holder[key] = i
-        rels[i] = rel
+    for i, rel in enumerate(rels):
         for k in rel:
             occurs[abs(k)].add(i)
-        if _is_short(rel):
-            heapq.heappush(short, i)
-
-    for i, word in enumerate(words):
-        place(i, word)
     alive = [True] * (n_generators + 1)
-    while short:
-        rel = rels[heapq.heappop(short)]
-        if rel is None or not _is_short(rel):
+    for i in range(len(rels)):
+        rel = rels[i]
+        if not 0 < len(rel) <= 3 or len({abs(k) for k in rel}) < len(rel):
             continue
-        if len(rel) == 1:
-            victim, repl = abs(rel[0]), ()
-        else:
-            a, b = sorted(rel, key=abs)
-            # g_|b|^sign(b) = g_a^{-sign(a)}
-            victim = abs(b)
-            repl = (-a,) if b > 0 else (a,)
-        sub = {victim: repl, -victim: tuple(-k for k in repl)}
+        top = max(range(len(rel)), key=lambda p: abs(rel[p]))
+        *rest, last = rel[top + 1 :] + rel[: top + 1]
+        victim = abs(last)
+        repl = tuple(rest) if last < 0 else tuple(-k for k in reversed(rest))
+        sub = {victim: repl, -victim: tuple(-k for k in reversed(repl))}
         alive[victim] = False
-        touched = sorted(occurs[victim])
-        rewritten = []
-        for j in touched:
-            rewritten.append(free_reduce(x for k in rels[j] for x in sub.get(k, (k,))))
-            drop(j)
-        for j, rel in zip(touched, rewritten):
-            place(j, rel)
+        for j in occurs[victim]:
+            rels[j] = free_reduce(x for k in rels[j] for x in sub.get(k, (k,)))
+            for k in rels[j]:
+                occurs[abs(k)].add(j)
     survivors = [k for k in range(1, n_generators + 1) if alive[k]]
     number = {k: i + 1 for i, k in enumerate(survivors)}
     relators = [
-        tuple(number[k] if k > 0 else -number[-k] for k in rel)
-        for rel in rels
-        if rel is not None
+        tuple(number[k] if k > 0 else -number[-k] for k in rel) for rel in rels if rel
     ]
     return survivors, relators
 

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from congsub import cli, fingroups
+from congsub import cli, fingroups, rewriting
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
 
@@ -163,3 +164,24 @@ def test_bad_permutation_point_is_a_usage_error(capsys):
     code, _, err = run(capsys, "stabilizer", "--group", "perm:(0 1)")
     assert code == cli.EXIT_USAGE == 2
     assert "1-based" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("spec", ["abelian:3", "abelian:2,2,2", "quaternion:7"])
+def test_wrong_spec_argument_count_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "stabilizer", "--group", spec)
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert err.startswith("error: want ") and "internal" not in err
+
+
+def test_wrong_free_rank_is_an_internal_error(capsys, monkeypatch):
+    real = rewriting.kurosh_decompose
+
+    def off_by_one(t):
+        return dataclasses.replace(real(t), free_rank=real(t).free_rank + 1)
+
+    monkeypatch.setattr(rewriting, "kurosh_decompose", off_by_one)
+    code, out, err = run(capsys, "rank", "--m", "4", "--n", "4")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("error: internal: free rank 6 ")

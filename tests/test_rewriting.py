@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from congsub.cosets import congruence_table, enumerate_cosets
+from congsub.cosets import (
+    CosetTable,
+    congruence_table,
+    enumerate_cosets,
+    orbit_table,
+    tables_isomorphic,
+)
 from congsub.matgroup import (
     Mat2,
     PslElement,
@@ -148,3 +155,52 @@ def test_relator_witnesses_evaluate_trivially():
                 elem = word_to_matrix(w.letters)
                 acc = acc * (elem if k > 0 else elem.inv())
             assert acc.is_identity()
+
+
+@st.composite
+def transitive_tables(draw):
+    """The orbit of point 0 under a random involution s and a random u
+    with u^3 = 1 on at most 40 points, as a transitive coset table.
+
+    s and u have few fixed points, so the orbit is usually large."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    s, u = list(range(n)), list(range(n))
+    for i in range(0, 2 * max(0, n // 2 - draw(st.integers(0, 2))), 2):
+        s[p[i]], s[p[i + 1]] = p[i + 1], p[i]
+    for i in range(0, 3 * max(0, n // 3 - draw(st.integers(0, 2))), 3):
+        u[q[i]], u[q[i + 1]], u[q[i + 2]] = q[i + 1], q[i + 2], q[i]
+    _, columns, _ = orbit_table(0, {"S": s.__getitem__, "U": u.__getitem__})
+    t = CosetTable(columns["S"], columns["U"])
+    t.validate()
+    return t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables())
+def test_presentation_has_kurosh_shape(t):
+    p = subgroup_presentation(t)
+    d = kurosh_decompose(t)
+    assert p.n_generators == d.free_rank + d.f2 + d.f3
+    squares = [r for r in p.relators if len(r) == 2 and r[0] == r[1] > 0]
+    cubes = [r for r in p.relators if len(r) == 3 and r[0] == r[1] == r[2] > 0]
+    assert (len(squares), len(cubes)) == (d.f2, d.f3) and len(p.relators) == d.f2 + d.f3
+    assert len({r[0] for r in p.relators}) == len(p.relators)
+    matrices = [word_to_matrix(w.letters) for w in p.witnesses]
+    for rel in p.relators:
+        acc = word_to_matrix("")
+        for k in rel:
+            acc = acc * (matrices[k - 1] if k > 0 else matrices[-k - 1].inv())
+        assert acc.is_identity()
+    words = [w for w, _ in schreier_generators(t)]
+    assert all(t.trace(0, w) == 0 for w in words)
+    assert tables_isomorphic(t, enumerate_cosets(words))
+
+
+def test_free_presentations_keep_no_relator():
+    for m, n in [(13, 13), (24, 12)]:
+        t = congruence_table(m, n)
+        p = subgroup_presentation(t)
+        assert p.relators == ()
+        assert p.n_generators == free_rank(t)
