@@ -21,7 +21,7 @@ from itertools import compress
 from math import gcd
 
 from . import autpres, fingroups, rewriting
-from .cosets import congruence_table
+from .cosets import CosetTable, congruence_table
 from .fingroups import Epimorphism, FiniteGroup
 from .matgroup import (
     Mat2,
@@ -261,7 +261,12 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
             "relation-matrix route needs a free congruence subgroup; "
             "(%d, %d) is excluded" % (m, n)
         )
-    t = congruence_table(m, n)
+    return _hall_invariants(congruence_table(m, n), m, n)
+
+
+def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
+    """The relation-matrix route of ``hall_abelianization`` on the built
+    congruence table t of (m, n)."""
     if not rewriting.is_free(t):
         raise RuntimeError("expected a torsion-free table for (%d, %d)" % (m, n))
     gens = rewriting.schreier_generators(t)
@@ -368,18 +373,20 @@ def sl_level_structure(m: int, n: int) -> SlStructure:
     return SlStructure(False, True, "free", rank, AbelianInvariants((), rank))
 
 
-def satoh_crosscheck(m: int) -> bool:
+def satoh_crosscheck(m: int) -> tuple[bool, AbelianInvariants]:
     """Cross-check of Satoh's kernel abelianization at level (m, m).
 
-    True iff the relation-matrix route yields torsion (m, m) with the
-    free rank of the projective congruence subgroup; for prime m the free
-    rank is additionally checked against 1 + m^3 (1 - m^-2) / 12.
+    Returns the relation-matrix invariants and whether they are torsion
+    (m, m) with the free rank of the projective congruence subgroup; for
+    prime m the free rank is additionally checked against
+    1 + m^3 (1 - m^-2) / 12.  The congruence table is built once and
+    serves both sides.
     """
     if m < 3:
         raise ValueError("needs m >= 3")
-    inv = hall_abelianization(m, m)
-    expected_rank = rewriting.free_rank(congruence_table(m, m))
-    ok = inv.torsion == (m, m) and inv.free_rank == expected_rank
+    t = congruence_table(m, m)
+    inv = _hall_invariants(t, m, m)
+    ok = inv.torsion == (m, m) and inv.free_rank == rewriting.free_rank(t)
     if ok and distinct_primes(m) == [m]:
         ok = inv.free_rank == 1 + (m**3 - m) // 12
-    return ok
+    return ok, inv

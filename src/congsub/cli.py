@@ -46,6 +46,16 @@ class UsageError(ValueError):
     pass
 
 
+def _check_ceiling(args, m: int, n: int) -> None:
+    """Refuse a congruence table of more than --ceiling cosets before
+    building it: its size is exactly the PSL index."""
+    size = psl_index_formula(m, n)
+    if size > args.ceiling:
+        raise CosetCeilingError(
+            "table needs %d cosets, ceiling is %d" % (size, args.ceiling)
+        )
+
+
 def cmd_index(args) -> int:
     _require(args, "m", "n")
     sl = index_formula(args.m, args.n)
@@ -63,11 +73,8 @@ def cmd_index(args) -> int:
 
 def cmd_table(args) -> int:
     _require(args, "m", "n")
+    _check_ceiling(args, args.m, args.n)
     t = congruence_table(args.m, args.n)
-    if t.n > args.ceiling:
-        raise CosetCeilingError(
-            "table needs %d cosets, ceiling is %d" % (t.n, args.ceiling)
-        )
     text = t.serialize()
     _emit(
         args,
@@ -79,6 +86,7 @@ def cmd_table(args) -> int:
 
 def cmd_decompose(args) -> int:
     _require(args, "m", "n")
+    _check_ceiling(args, args.m, args.n)
     t = congruence_table(args.m, args.n)
     d = rewriting.kurosh_decompose(t)
     lines = [
@@ -105,6 +113,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_rank(args) -> int:
     _require(args, "m", "n")
+    _check_ceiling(args, args.m, args.n)
     if args.sl:
         s = abelianize.sl_level_structure(args.m, args.n)
         _emit(
@@ -175,6 +184,7 @@ def cmd_abelianize(args) -> int:
     method = args.method
     if method == "hall":
         _require(args, "m", "n")
+        _check_ceiling(args, args.m, args.n)
         inv = abelianize.hall_abelianization(args.m, args.n)
         tag = "Gamma+(Z/%d x Z/%d)" % (args.m, args.n)
     else:
@@ -196,8 +206,8 @@ def cmd_abelianize(args) -> int:
 
 def cmd_satoh(args) -> int:
     _require(args, "m")
-    ok = abelianize.satoh_crosscheck(args.m)
-    inv = abelianize.hall_abelianization(args.m, args.m)
+    _check_ceiling(args, args.m, args.m)
+    ok, inv = abelianize.satoh_crosscheck(args.m)
     _emit(
         args,
         {"m": args.m, "verified": ok, "invariants": inv.to_dict()},

@@ -2,10 +2,15 @@
 
 Two independent constructions are provided: Todd-Coxeter enumeration over
 the presentation <S, U | S^2, U^3> from subgroup generator words, and the
-explicit congruence action (reduction of matrix rows mod m and mod n).
-Agreement of the two is the main internal cross-check.  The congruence
-action, the signed-orbit table of the Aut(F2) route and the stabilizer
-orbit all come from the one breadth-first builder ``orbit_table``.
+explicit congruence action.  In the latter a coset of the (m, n) subgroup
+is its key: the first matrix row mod m and the second row mod n, up to a
+common sign.  The subgroup's elements +-(1 0; g 1), n | g, act on the
+left by adding multiples of n times the first row to the second, which is
+exactly what the key forgets, and S and U act on the key row by row from
+the right.  Agreement of the two is the main internal cross-check.  The
+congruence action, the signed-orbit table of the Aut(F2) route and the
+stabilizer orbit all come from the one breadth-first builder
+``orbit_table``.
 """
 from __future__ import annotations
 
@@ -158,42 +163,35 @@ def orbit_table(
 def congruence_table(m: int, n: int) -> CosetTable:
     """Coset table of the projective congruence subgroup for (m, n).
 
-    A coset is the subgroup's image mod m (together with its negatives)
-    multiplied by a representative in SL2(Z/m); its state is the least
-    element of that product.  Needs no generator words at all, which is
-    what makes it an independent oracle for the Todd-Coxeter path.
+    The state of the coset of (a b; c d) is its key: the rows (a, b) mod
+    m and (c, d) mod n, under the smaller of the two signs.  The key is a
+    coset invariant: left multiplication by +-(1 0; g 1) with n | g keeps
+    the first row and adds g * (first row) to the second, so the key does
+    not change; and two matrices with one key differ by such a factor,
+    because the first row is primitive mod m, so a second row with the
+    same determinant differs from it by a multiple of the first row,
+    which vanishes mod n only for a multiple of n.  S and U act on the
+    rows from the right: S sends (a, b) to (-b, a) and U sends it to
+    (b, b - a).  Needs no generator words at all, which is what makes it
+    an independent oracle for the Todd-Coxeter path.
     """
     _check_pair(m, n)
-    if m == 1:
-        return CosetTable((0,), (0,), "congruence-action")
 
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            (a * e + b * g) % m,
-            (a * f + b * h) % m,
-            (c * e + d * g) % m,
-            (c * f + d * h) % m,
-        )
+    def key(a, b, c, d):
+        return min((a % m, b % m, c % n, d % n), (-a % m, -b % m, -c % n, -d % n))
 
-    # image of the subgroup in SL2(Z/m), closed under negation
-    stab = set()
-    for gamma in range(0, m, n):
-        stab.add((1, 0, gamma, 1))
-        stab.add((m - 1, 0, (-gamma) % m, m - 1))
-
-    def coset(x):
-        return min(mul(h, x) for h in stab)
-
-    s_mat = (0, 1, (-1) % m, 0)
-    u_mat = (0, (-1) % m, 1, 1)
     _, cols, _ = orbit_table(
-        coset((1, 0, 0, 1)),
-        {"S": lambda x: coset(mul(x, s_mat)), "U": lambda x: coset(mul(x, u_mat))},
+        key(1, 0, 0, 1),
+        {
+            "S": lambda x: key(-x[1], x[0], -x[3], x[2]),
+            "U": lambda x: key(x[1], x[1] - x[0], x[3], x[3] - x[2]),
+        },
     )
     t = CosetTable(cols["S"], cols["U"], "congruence-action")
-    t.validate()
+    try:
+        t.validate()
+    except ValueError as exc:
+        raise RuntimeError("congruence table (%d, %d): %s" % (m, n, exc)) from exc
     return t
 
 

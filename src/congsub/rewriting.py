@@ -17,12 +17,16 @@ from fractions import Fraction
 
 from .cosets import CosetTable
 from .matgroup import (
+    _PSL_INVERSE,
+    _PSL_LETTERS,
+    IDENTITY,
     GeneratorWord,
     PslElement,
     invert_psl,
     normalize_psl,
-    word_to_matrix,
 )
+
+_LETTER_MATRIX = {x: p.rep for x, p in _PSL_LETTERS.items()}
 
 
 def transversal(t: CosetTable) -> tuple[str, ...]:
@@ -67,13 +71,23 @@ def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]
 
     The witnesses of ``subgroup_presentation(t)``, each paired with its
     matrix: k + f2 + f3 words for a subgroup F_k * (Z/2)^f2 * (Z/3)^f3,
-    so for torsion-free subgroups the result is a free basis.
+    so for torsion-free subgroups the result is a free basis.  The
+    witness of the edge (c, x) is tr[c] x tr[x(c)]^-1, so its matrix is
+    M[c] * x * M[x(c)]^-1, where M[c] is the matrix of the transversal
+    word of coset c, built once per coset from the word's prefix.
     """
+    tr, edges, _ = _reduced_schreier(t)
+    # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
+    mats = [IDENTITY] * t.n
+    for c in sorted(range(1, t.n), key=lambda c: len(tr[c])):
+        last = tr[c][-1]
+        mats[c] = mats[t.apply(c, _PSL_INVERSE[last])] * _LETTER_MATRIX[last]
     out = []
-    for w in subgroup_presentation(t).witnesses:
+    for c, x in edges:
+        w = GeneratorWord(_schreier_word(t, tr, c, x))
         if t.trace(0, w) != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        out.append((w, word_to_matrix(w.letters)))
+        out.append((w, PslElement(mats[c] * _LETTER_MATRIX[x] * mats[t.apply(c, x)].inv())))
     return out
 
 
@@ -256,14 +270,21 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     fixed point of U).  Witness words are computed for the surviving
     generators only.
     """
+    tr, edges, relators = _reduced_schreier(t)
+    witnesses = tuple(GeneratorWord(_schreier_word(t, tr, c, x)) for c, x in edges)
+    relators.sort(key=lambda r: (len(r), r))
+    return SubgroupPresentation(witnesses, tuple(relators))
+
+
+def _reduced_schreier(
+    t: CosetTable,
+) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]]]:
+    """The transversal, the non-tree edges (coset, letter) that survive
+    the Tietze pass, and the relators renumbered over them."""
     tr, tree = transversal_with_tree(t)
     edges, words = rewrite_relators({"S": t.s, "U": t.u}, tree, AMBIENT_RELATORS)
     survivors, relators = _eliminate_short_relators(len(edges), words)
-    witnesses = tuple(
-        GeneratorWord(_schreier_word(t, tr, *edges[k - 1])) for k in survivors
-    )
-    relators.sort(key=lambda r: (len(r), r))
-    return SubgroupPresentation(witnesses, tuple(relators))
+    return tr, [edges[k - 1] for k in survivors], relators
 
 
 def _eliminate_short_relators(

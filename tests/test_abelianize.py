@@ -333,6 +333,7 @@ def test_sl_level_rejects_torsion():
 
 def test_satoh():
     for m in (3, 4, 5):
-        assert satoh_crosscheck(m)
+        ok, inv = satoh_crosscheck(m)
+        assert ok and inv == hall_abelianization(m, m)
     with pytest.raises(ValueError):
         satoh_crosscheck(2)

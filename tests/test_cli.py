@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from congsub import cli, fingroups, rewriting
+from congsub import abelianize, cli, cosets, fingroups, rewriting
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
 
@@ -111,6 +111,25 @@ def test_verify_subjects(capsys, subject):
     assert out.strip().endswith("PASS")
 
 
+def test_satoh_does_its_level_work_once(capsys, monkeypatch):
+    calls = {"congruence_table": 0, "schreier_generators": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(abelianize, "congruence_table")
+    count(rewriting, "schreier_generators")
+    code, out, _ = run(capsys, "satoh", "--m", "7")
+    assert (code, out) == (0, "level (7,7) kernel abelianization Z/7 x Z/7 x Z^29: PASS\n")
+    assert calls == {"congruence_table": 1, "schreier_generators": 1}
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "index", "--max-m", "5", "--json")
     assert code == 0
@@ -144,6 +163,44 @@ def test_ceiling_error_keeps_its_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert code == cli.EXIT_CEILING == 3
     assert "ceiling" in err and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--m", "6", "--n", "3"],
+        ["decompose", "--m", "6", "--n", "3"],
+        ["rank", "--m", "6", "--n", "3"],
+        ["rank", "--m", "6", "--n", "3", "--sl"],
+        ["satoh", "--m", "6"],
+        ["abelianize", "--method", "hall", "--m", "6", "--n", "3"],
+    ],
+)
+def test_ceiling_is_checked_before_any_table_is_built(capsys, monkeypatch, argv):
+    built = []
+
+    def never(m, n):
+        built.append((m, n))
+        raise AssertionError("congruence_table called past the ceiling")
+
+    for module in (cli, abelianize, cosets):
+        monkeypatch.setattr(module, "congruence_table", never)
+    code, out, err = run(capsys, *argv, "--ceiling", "5")
+    assert (code, out, built) == (cli.EXIT_CEILING, "", [])
+    assert err.startswith("error: table needs ") and err.endswith(" cosets, ceiling is 5\n")
+
+
+def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
+    real = cosets.orbit_table
+
+    def broken(start, steps):
+        states, columns, tree = real(start, steps)
+        return states, {**columns, "S": (0,) * len(columns["S"])}, tree
+
+    monkeypatch.setattr(cosets, "orbit_table", broken)
+    code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "error: internal: congruence table (6, 3): actions are not permutations\n"
 
 
 def test_broken_group_builder_is_an_internal_error(capsys, monkeypatch):

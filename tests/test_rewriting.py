@@ -56,10 +56,11 @@ def test_tree_edge_count():
 
 
 def test_schreier_generators_fix_base_coset():
-    t = congruence_table(4, 2)
-    for word, elem in schreier_generators(t):
-        assert t.trace(0, word) == 0
-        assert word_to_matrix(word.letters) == elem
+    for m, n in [(2, 1), (3, 1), (4, 2), (6, 3), (9, 9), (12, 4)]:
+        t = congruence_table(m, n)
+        for word, elem in schreier_generators(t):
+            assert t.trace(0, word) == 0
+            assert word_to_matrix(word.letters) == elem
 
 
 def test_schreier_rank_level_two():
@@ -196,6 +197,15 @@ def test_presentation_has_kurosh_shape(t):
     words = [w for w, _ in schreier_generators(t)]
     assert all(t.trace(0, w) == 0 for w in words)
     assert tables_isomorphic(t, enumerate_cosets(words))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables())
+def test_schreier_matrices_are_their_witnesses(t):
+    # the matrices are built along the transversal tree; word_to_matrix
+    # multiplies each witness out letter by letter
+    for word, elem in schreier_generators(t):
+        assert word_to_matrix(word.letters) == elem
 
 
 def test_free_presentations_keep_no_relator():
