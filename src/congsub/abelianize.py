@@ -254,6 +254,11 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     (a b; c d) contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...)
     over the generators (conj-x, conj-y, gen_1, ..., gen_r), together
     with the derived rows m*conj-x = 0 and n*conj-y = 0.
+
+    Every generator lies in Gamma(m, n), so each row [a-1, -c], [-b, d-1]
+    lies in the lattice <(m, 0), (0, n)> and the SNF always returns
+    Z/n x Z/m x Z^r (trivial factors dropped).  What it really checks is
+    that membership and the generator count r.
     """
     _check_pair(m, n)
     if m < 3 or (m, n) == (3, 1):
@@ -297,7 +302,7 @@ def image_abelianization(
     """Abelianization of the projective image of the special stabilizer."""
     if pi0 is None:
         pi0 = _default_epi(g)
-    t = fingroups.stabilizer_image_table(g, pi0)
+    t = fingroups.orbit_stabilizer(g, pi0).image_table
     pres = rewriting.subgroup_presentation(t)
     return smith_invariants(
         rewriting.abelianized_relation_matrix(pres), pres.n_generators

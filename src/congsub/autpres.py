@@ -130,8 +130,6 @@ TokenWord = tuple[Token, ...]
 
 @lru_cache(maxsize=None)
 def _gen_aut_inv(name: str) -> Aut:
-    f = GEN_AUT[name]
-    # invert by breadth-first search over short compositions is overkill;
     # each generator has an explicit inverse
     if name == "ax":
         return conjugation_by(w_inv(X))

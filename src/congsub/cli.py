@@ -249,6 +249,13 @@ def verify_abelianization(args) -> list[tuple[str, bool]]:
 
 
 def verify_decomposition(args) -> list[tuple[str, bool]]:
+    """Kurosh shape of every congruence table up to --max-m.
+
+    The line's test, 6k = 6 + i - 3 f2 - 4 f3, is the identity that
+    ``kurosh_decompose`` computes k from, so it holds whenever that call
+    returns; what can fail is the call itself, whose integrality and sign
+    checks on k raise RuntimeError (exit 4).
+    """
     results = []
     for m, n in _pairs_up_to(args.max_m):
         t = congruence_table(m, n)

@@ -9,8 +9,8 @@ left by adding multiples of n times the first row to the second, which is
 exactly what the key forgets, and S and U act on the key row by row from
 the right.  Agreement of the two is the main internal cross-check.  The
 congruence action, the signed-orbit table of the Aut(F2) route and the
-stabilizer orbit all come from the one breadth-first builder
-``orbit_table``.
+image orbit of generating pairs all come from the one breadth-first
+orbit function ``orbit_table``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class CosetTable:
 
     s: tuple[int, ...]
     u: tuple[int, ...]
-    provenance: str = "enumerated"
     u2: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ class CosetTable:
         return "\n".join(lines) + "\n"
 
 
-def deserialize_table(text: str, provenance: str = "enumerated") -> CosetTable:
+def deserialize_table(text: str) -> CosetTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
     if head[0] != "cosets":
@@ -102,7 +101,7 @@ def deserialize_table(text: str, provenance: str = "enumerated") -> CosetTable:
     for ln in lines[1 : n + 1]:
         i, si, ui = (int(v) for v in ln.split())
         s[i], u[i] = si, ui
-    t = CosetTable(tuple(s), tuple(u), provenance)
+    t = CosetTable(tuple(s), tuple(u))
     t.validate()
     return t
 
@@ -187,7 +186,7 @@ def congruence_table(m: int, n: int) -> CosetTable:
             "U": lambda x: key(x[1], x[1] - x[0], x[3], x[3] - x[2]),
         },
     )
-    t = CosetTable(cols["S"], cols["U"], "congruence-action")
+    t = CosetTable(cols["S"], cols["U"])
     try:
         t.validate()
     except ValueError as exc:
@@ -332,6 +331,6 @@ def _standardize(enum: _Enumerator) -> CosetTable:
     for old, new in order.items():
         s[new] = order[live_next[old][0]]
         u[new] = order[live_next[old][1]]
-    t = CosetTable(tuple(s), tuple(u), "enumerated")
+    t = CosetTable(tuple(s), tuple(u))
     t.validate()
     return t

@@ -2,22 +2,22 @@
 epimorphism pairs.
 
 An epimorphism from the rank-2 free group onto a finite group G is an
-ordered pair of generators of G.  The basic Nielsen moves act on such
-pairs by precomposition; tracking the determinant of the abelianized
-action singles out the special (determinant +1) stabilizer, whose index
-and Schreier generator words are computed by plain orbit BFS.
+ordered pair of generators of G, and automorphisms of F2 act on such
+pairs by precomposition.  Modulo simultaneous conjugation and inversion
+the action of Aut+(F2) factors through PSL2(Z), so one breadth-first
+orbit of pair classes gives both the coset table of the special
+(determinant +1) stabilizer's image in PSL2(Z) and, by counting, its
+index in Aut+(F2).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .cosets import CosetTable, DEFAULT_CEILING, enumerate_cosets, orbit_table
-from .matgroup import Mat2, PslElement, matrix_to_word
+from .cosets import CosetTable, orbit_table
 
 MAX_GROUP_ORDER = 120
 
@@ -44,10 +44,6 @@ class FiniteGroup:
 
     def inv(self, x: int) -> int:
         return self.inverse[x]
-
-    def conj(self, x: int, y: int) -> int:
-        """x * y * x^-1"""
-        return self.mul(self.mul(x, y), self.inv(x))
 
     def closure(self, elements: tuple[int, ...]) -> frozenset[int]:
         """Subgroup generated by ``elements``.
@@ -308,12 +304,6 @@ class Epimorphism(NamedTuple):
     gy: int
 
 
-class SignedEpi(NamedTuple):
-    gx: int
-    gy: int
-    sign: int
-
-
 def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
     """Ordered generating pairs, lazily, in lexicographic element order.
 
@@ -354,155 +344,82 @@ def epi_set(g: FiniteGroup, limit: int | None = None) -> list[Epimorphism]:
     return list(itertools.islice(_generating_pairs(g), limit))
 
 
-# Nielsen moves on generator pairs (by precomposition), the determinant of
-# the abelianized action, and that abelianized action itself as a column-
-# convention integer matrix.
-AUT_LETTERS = "PORr"
-_AUT_INVERSE = {"P": "P", "O": "O", "R": "r", "r": "R"}
-AUT_DET = {"P": -1, "O": -1, "R": 1, "r": 1}
-AUT_RHO = {
-    "P": (0, 1, 1, 0),
-    "O": (-1, 0, 0, 1),
-    "R": (1, 0, 1, 1),
-    "r": (1, 0, -1, 1),
+# The lifts of PSL2(Z)'s generators S and U to Aut+(F2) that the image
+# orbit steps by, acting on a generating pair (x, y) by precomposition:
+# S is x -> y^-1, y -> x and U is x -> y, y -> x^-1 y.  Their abelianized
+# column matrices are matgroup.S and matgroup.U, the letters of every
+# other PSL2(Z) coset table.
+LIFTS: dict[str, Callable[[FiniteGroup, int, int], tuple[int, int]]] = {
+    "S": lambda g, x, y: (g.inverse[y], x),
+    "U": lambda g, x, y: (y, g.table[g.inverse[x]][y]),
 }
-
-
-def invert_aut_word(word: str) -> str:
-    return "".join(_AUT_INVERSE[x] for x in reversed(word))
-
-
-def act(g: FiniteGroup, letter: str, s: SignedEpi) -> SignedEpi:
-    """Apply one Nielsen move to a signed pair."""
-    gx, gy, sign = s
-    if letter == "P":
-        return SignedEpi(gy, gx, -sign)
-    if letter == "O":
-        return SignedEpi(g.inv(gx), gy, -sign)
-    if letter == "R":
-        return SignedEpi(g.mul(gx, gy), gy, sign)
-    if letter == "r":
-        return SignedEpi(g.mul(gx, g.inv(gy)), gy, sign)
-    raise ValueError("unknown generator letter %r" % letter)
-
-
-def act_word(g: FiniteGroup, word: str, s: SignedEpi) -> SignedEpi:
-    for letter in word:
-        s = act(g, letter, s)
-    return s
-
-
-def _rho_mul(m, n):
-    a, b, c, d = m
-    e, f, gg, h = n
-    return (a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h)
-
-
-def _rho_inv(m):
-    """Inverse of a determinant ±1 integer matrix."""
-    a, b, c, d = m
-    det = a * d - b * c
-    return (det * d, -det * b, -det * c, det * a)
-
-
-def rho_image(word: str) -> tuple[int, int, int, int]:
-    """Abelianized action of a word in the Nielsen moves (det ±1)."""
-    return functools.reduce(_rho_mul, map(AUT_RHO.__getitem__, word), (1, 0, 0, 1))
-
-
-def rho_det(mat: tuple[int, int, int, int]) -> int:
-    return mat[0] * mat[3] - mat[1] * mat[2]
-
-
-def rho_psl(word: str) -> PslElement:
-    """Projective image of a determinant +1 word."""
-    mat = rho_image(word)
-    if rho_det(mat) != 1:
-        raise ValueError("word has determinant -1")
-    return PslElement(Mat2(*mat))
 
 
 @dataclass(frozen=True)
 class OrbitStabilizer:
-    """Orbit of a signed pair under the Nielsen moves, with stabilizer data.
+    """Orbit sizes of a generating pair under Aut(F2), and the coset table
+    of the projective image of its special stabilizer.
 
-    signed_orbit_size is the index of the special stabilizer in the full
-    automorphism group; halving it gives the index in the special
-    automorphism group.  sign_mixing records whether some word returns to
-    the starting pair with flipped sign (equivalently, whether the plain
-    stabilizer contains determinant -1 elements).  stabilizer_rho holds
-    the distinct abelianized actions of the stabilizer words, in order of
-    first occurrence.
+    The special stabilizer is the group of determinant +1 automorphisms
+    fixing the pair.  signed_orbit_size is its index in Aut(F2), and
+    aut_plus_index, half of it, its index in Aut+(F2).  sign_mixing
+    records whether some determinant -1 automorphism fixes the pair
+    too, and epi_orbit_size counts the pairs in the Aut(F2)-orbit.
+    image_table is the action of S and U on the cosets of the special
+    stabilizer's image in PSL2(Z).
     """
 
     signed_orbit_size: int
     epi_orbit_size: int
     aut_plus_index: int
     sign_mixing: bool
-    stabilizer_words: tuple[str, ...]
-    stabilizer_rho: tuple[tuple[int, int, int, int], ...]
+    image_table: CosetTable
 
 
 def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
+    """Orbit data of pi0, from one breadth-first orbit of pair classes.
+
+    Precomposing a pair with an inner automorphism of F2 conjugates it by
+    an element of G, and precomposing it with x -> x^-1, y -> y^-1 (whose
+    abelianized matrix is -I) inverts it.  Together these generate the
+    kernel of Aut+(F2) -> PSL2(Z), so PSL2(Z) acts on the classes of
+    pairs modulo simultaneous conjugation and inversion, and the orbit of
+    pi0's class under ``LIFTS`` is the coset action of the image of the
+    special stabilizer.  A class is keyed by its least pair.
+
+    The sizes follow from the k classes of the orbit: G/Z(G) acts freely
+    on pairs by conjugation, and inversion doubles a class (eps = 2)
+    unless the inverted pair is a conjugate (eps = 1), so the
+    Aut+(F2)-orbit of pi0 has |G/Z(G)| * k * eps pairs.  The swap x <-> y has
+    determinant -1, and the Aut(F2)-orbit is the Aut+(F2)-orbit exactly
+    when the swapped pair's class is in the orbit.
+    """
     if len(g.closure((pi0.gx, pi0.gy))) != g.order:
         raise ValueError("pi0 is not an epimorphism onto the group")
-    states, columns, tree = orbit_table(
-        SignedEpi(pi0.gx, pi0.gy, 1),
-        {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
+    table, inverse = g.table, g.inverse
+    # x -> a x a^-1, one map per element of G/Z(G)
+    inner = {tuple(table[ax][inverse[a]] for ax in row) for a, row in enumerate(table)}
+
+    def key(x, y):
+        xi, yi = inverse[x], inverse[y]
+        return min(min((c[x], c[y]), (c[xi], c[yi])) for c in inner)
+
+    states, columns, _ = orbit_table(
+        key(*pi0), {name: (lambda p, f=f: key(*f(g, *p))) for name, f in LIFTS.items()}
     )
-    # tree word and its abelianized action per state, built along the tree
-    words = [""] * len(states)
-    mats = [(1, 0, 0, 1)] * len(states)
-    for i, x in tree:
-        j = columns[x][i]
-        words[j] = words[i] + x
-        mats[j] = _rho_mul(mats[i], AUT_RHO[x])
-    # One word per non-tree edge (i, x), and no two alike: the tree words
-    # are prefix-closed and words[i] + x is not one of them, so it is not
-    # a prefix of another edge's word words[i'] + x' + ... either.
-    tree_edges = set(tree)
-    stab: list[str] = []
-    stab_rho: dict[tuple[int, int, int, int], None] = {}
-    for i, word in enumerate(words):
-        for x in AUT_LETTERS:
-            if (i, x) not in tree_edges:
-                j = columns[x][i]
-                stab.append(word + x + invert_aut_word(words[j]))
-                # rho is a homomorphism: rho(w) = M_i rho(x) M_j^-1
-                stab_rho[_rho_mul(_rho_mul(mats[i], AUT_RHO[x]), _rho_inv(mats[j]))] = None
-    signed = len(states)
-    epis = len({(s.gx, s.gy) for s in states})
-    if signed % 2 != 0:
-        raise RuntimeError("signed orbit size must be even")
+    image = CosetTable(columns["S"], columns["U"])
+    try:
+        image.validate()
+    except ValueError as exc:
+        raise RuntimeError("image table of %s: %s" % (g.tag, exc)) from exc
+    x, y = pi0
+    eps = 1 if (inverse[x], inverse[y]) in {(c[x], c[y]) for c in inner} else 2
+    aut_plus = len(inner) * image.n * eps
+    sign_mixing = key(y, x) in states
     return OrbitStabilizer(
-        signed_orbit_size=signed,
-        epi_orbit_size=epis,
-        aut_plus_index=signed // 2,
-        sign_mixing=(signed == 2 * epis),
-        stabilizer_words=tuple(stab),
-        stabilizer_rho=tuple(stab_rho),
+        signed_orbit_size=2 * aut_plus,
+        epi_orbit_size=aut_plus if sign_mixing else 2 * aut_plus,
+        aut_plus_index=aut_plus,
+        sign_mixing=sign_mixing,
+        image_table=image,
     )
-
-
-def stabilizer_image_table(
-    g: FiniteGroup,
-    pi0: Epimorphism,
-    orbit: OrbitStabilizer | None = None,
-    ceiling: int = DEFAULT_CEILING,
-) -> CosetTable:
-    """Coset table of the projective image of the special stabilizer.
-
-    The images of the stabilizer's Schreier generators under the
-    abelianized action (all of determinant +1) are taken into PSL2(Z),
-    converted to generator words, and enumerated by Todd-Coxeter.
-    """
-    if orbit is None:
-        orbit = orbit_stabilizer(g, pi0)
-    elements = []
-    seen = set()
-    for mat in orbit.stabilizer_rho:
-        p = PslElement(Mat2(*mat))
-        if not p.is_identity() and p not in seen:
-            seen.add(p)
-            elements.append(p)
-    return enumerate_cosets([matrix_to_word(p) for p in elements], ceiling)

@@ -22,7 +22,6 @@ from congsub.autpres import (
     _tok_inv,
 )
 from congsub.fingroups import (
-    SignedEpi,
     abelian,
     cyclic,
     dihedral,

@@ -203,6 +203,26 @@ def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
     assert err == "error: internal: congruence table (6, 3): actions are not permutations\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["abelianize", "--method", "image", "--group", "sym:3"], ["stabilizer", "--group", "sym:3"]],
+    ids=["image", "stabilizer"],
+)
+def test_invalid_image_table_is_an_internal_error(capsys, monkeypatch, argv):
+    real = fingroups.orbit_table
+
+    def broken(start, steps):
+        # S as a cyclic shift of the 3 cosets: a permutation, not an involution
+        states, columns, tree = real(start, steps)
+        n = len(columns["S"])
+        return states, {**columns, "S": tuple((i + 1) % n for i in range(n))}, tree
+
+    monkeypatch.setattr(fingroups, "orbit_table", broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "error: internal: image table of sym:3: S^2 is not the identity\n"
+
+
 def test_broken_group_builder_is_an_internal_error(capsys, monkeypatch):
     # a Latin square with identity that is not associative
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))

@@ -32,7 +32,7 @@ def stabilizer_minimum_table(m, n):
     the least element of its orbit under left multiplication by the
     subgroup's image +-(1 0; g 1), n | g, in SL2(Z/m)."""
     if m == 1:
-        return CosetTable((0,), (0,), "congruence-action")
+        return CosetTable((0,), (0,))
 
     def mul(x, y):
         a, b, c, d = x
@@ -58,7 +58,7 @@ def stabilizer_minimum_table(m, n):
         coset((1, 0, 0, 1)),
         {"S": lambda x: coset(mul(x, s_mat)), "U": lambda x: coset(mul(x, u_mat))},
     )
-    return CosetTable(cols["S"], cols["U"], "congruence-action")
+    return CosetTable(cols["S"], cols["U"])
 
 
 @pytest.mark.parametrize("m,n", list(all_pairs(24)) + [(48, 1), (60, 2)])

@@ -1,34 +1,38 @@
 import functools
 import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congsub import matgroup
 from congsub.abelianize import _default_epi
-from congsub.cosets import congruence_table, tables_isomorphic
+from congsub.cosets import (
+    CosetTable,
+    congruence_table,
+    enumerate_cosets,
+    orbit_table,
+    tables_isomorphic,
+)
 from congsub.fingroups import (
+    LIFTS,
     Epimorphism,
+    FiniteGroup,
     GroupTooLargeError,
-    SignedEpi,
     _build,
     abelian,
-    act_word,
     alternating,
     cyclic,
     dihedral,
     epi_set,
     from_permutations,
-    invert_aut_word,
     orbit_stabilizer,
     parse_group_spec,
     quaternion,
-    rho_det,
-    rho_image,
-    rho_psl,
-    stabilizer_image_table,
     symmetric,
 )
-from congsub.matgroup import Mat2, PslElement
+from congsub.matgroup import Mat2, PslElement, matrix_to_word
 
 
 def test_constructor_orders():
@@ -94,6 +98,142 @@ def test_epi_set_deterministic():
     assert epi_set(symmetric(3)) == epi_set(symmetric(3))
 
 
+# --- the oracle for orbit_stabilizer: the signed orbit under the Nielsen
+# moves, its stabilizer words and their abelianized images, and
+# Todd-Coxeter on those images ---
+
+class SignedEpi(NamedTuple):
+    gx: int
+    gy: int
+    sign: int
+
+
+# Nielsen moves on generator pairs (by precomposition), the determinant of
+# the abelianized action, and that abelianized action itself as a column-
+# convention integer matrix (a, b, c, d).
+AUT_LETTERS = "PORr"
+_AUT_INVERSE = {"P": "P", "O": "O", "R": "r", "r": "R"}
+AUT_RHO = {
+    "P": (0, 1, 1, 0),
+    "O": (-1, 0, 0, 1),
+    "R": (1, 0, 1, 1),
+    "r": (1, 0, -1, 1),
+}
+
+
+def invert_aut_word(word: str) -> str:
+    return "".join(_AUT_INVERSE[x] for x in reversed(word))
+
+
+def act(g: FiniteGroup, letter: str, s: SignedEpi) -> SignedEpi:
+    """Apply one Nielsen move to a signed pair."""
+    gx, gy, sign = s
+    if letter == "P":
+        return SignedEpi(gy, gx, -sign)
+    if letter == "O":
+        return SignedEpi(g.inv(gx), gy, -sign)
+    if letter == "R":
+        return SignedEpi(g.mul(gx, gy), gy, sign)
+    if letter == "r":
+        return SignedEpi(g.mul(gx, g.inv(gy)), gy, sign)
+    raise ValueError("unknown generator letter %r" % letter)
+
+
+def act_word(g: FiniteGroup, word: str, s: SignedEpi) -> SignedEpi:
+    for letter in word:
+        s = act(g, letter, s)
+    return s
+
+
+def _rho_mul(m, n):
+    a, b, c, d = m
+    e, f, gg, h = n
+    return (a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h)
+
+
+def _rho_inv(m):
+    """Inverse of a determinant ±1 integer matrix."""
+    a, b, c, d = m
+    det = a * d - b * c
+    return (det * d, -det * b, -det * c, det * a)
+
+
+def rho_image(word: str) -> tuple[int, int, int, int]:
+    """Abelianized action of a word in the Nielsen moves (det ±1)."""
+    return functools.reduce(_rho_mul, map(AUT_RHO.__getitem__, word), (1, 0, 0, 1))
+
+
+def rho_det(mat: tuple[int, int, int, int]) -> int:
+    return mat[0] * mat[3] - mat[1] * mat[2]
+
+
+def rho_psl(word: str) -> PslElement:
+    """Projective image of a determinant +1 word."""
+    mat = rho_image(word)
+    if rho_det(mat) != 1:
+        raise ValueError("word has determinant -1")
+    return PslElement(Mat2(*mat))
+
+
+@dataclass(frozen=True)
+class SignedOrbit:
+    """The sizes of ``OrbitStabilizer``, counted on the orbit itself, with
+    one stabilizer word per non-tree edge and the distinct abelianized
+    images of those words, in order of first occurrence."""
+
+    signed_orbit_size: int
+    epi_orbit_size: int
+    aut_plus_index: int
+    sign_mixing: bool
+    stabilizer_words: tuple[str, ...]
+    stabilizer_rho: tuple[tuple[int, int, int, int], ...]
+
+
+def signed_orbit(g: FiniteGroup, pi0: Epimorphism) -> SignedOrbit:
+    """Orbit of the signed pair (pi0, +1) under the Nielsen moves: its
+    stabilizer is the special stabilizer."""
+    states, columns, tree = orbit_table(
+        SignedEpi(pi0.gx, pi0.gy, 1),
+        {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
+    )
+    # tree word and its abelianized action per state, built along the tree
+    words = [""] * len(states)
+    mats = [(1, 0, 0, 1)] * len(states)
+    for i, x in tree:
+        j = columns[x][i]
+        words[j] = words[i] + x
+        mats[j] = _rho_mul(mats[i], AUT_RHO[x])
+    tree_edges = set(tree)
+    stab: list[str] = []
+    stab_rho: dict[tuple[int, int, int, int], None] = {}
+    for i, word in enumerate(words):
+        for x in AUT_LETTERS:
+            if (i, x) not in tree_edges:
+                j = columns[x][i]
+                stab.append(word + x + invert_aut_word(words[j]))
+                # rho is a homomorphism: rho(w) = M_i rho(x) M_j^-1
+                stab_rho[_rho_mul(_rho_mul(mats[i], AUT_RHO[x]), _rho_inv(mats[j]))] = None
+    signed = len(states)
+    epis = len({(s.gx, s.gy) for s in states})
+    assert signed % 2 == 0
+    return SignedOrbit(
+        signed_orbit_size=signed,
+        epi_orbit_size=epis,
+        aut_plus_index=signed // 2,
+        sign_mixing=(signed == 2 * epis),
+        stabilizer_words=tuple(stab),
+        stabilizer_rho=tuple(stab_rho),
+    )
+
+
+def stabilizer_image_table(orbit: SignedOrbit) -> CosetTable:
+    """Todd-Coxeter table of the projective image of the special
+    stabilizer, from the images of its Schreier generators (all of
+    determinant +1) converted to words in S and U."""
+    elements = dict.fromkeys(PslElement(Mat2(*mat)) for mat in orbit.stabilizer_rho)
+    return enumerate_cosets([matrix_to_word(p) for p in elements if not p.is_identity()])
+
+
 def test_rho_images():
     assert rho_image("R") == (1, 0, 1, 1)
     assert rho_det(rho_image("P")) == -1
@@ -130,7 +270,7 @@ def test_orbit_transitive_on_epis():
 def test_stabilizer_words_fix_basepoint():
     g = dihedral(4)
     pi0 = epi_set(g)[0]
-    orb = orbit_stabilizer(g, pi0)
+    orb = signed_orbit(g, pi0)
     base = SignedEpi(pi0.gx, pi0.gy, 1)
     for w in orb.stabilizer_words[:25]:
         assert act_word(g, w, base) == base
@@ -149,9 +289,30 @@ def test_stabilizer_image_matches_congruence_oracle():
         (abelian(4, 2), Epimorphism(2, 1), (4, 2)),
     ]:
         assert pi0 in epi_set(g)
-        t = stabilizer_image_table(g, pi0)
-        assert tables_isomorphic(t, congruence_table(m, n)), (m, n)
+        want = congruence_table(m, n)
+        assert tables_isomorphic(stabilizer_image_table(signed_orbit(g, pi0)), want), (m, n)
+        assert tables_isomorphic(orbit_stabilizer(g, pi0).image_table, want), (m, n)
 
+
+def test_stabilizer_rho_is_rho_of_the_words():
+    for g in (symmetric(3), dihedral(4), quaternion(), alternating(4)):
+        orb = signed_orbit(g, epi_set(g)[-1])
+        # one word per non-tree edge of the orbit graph, all distinct
+        assert len(set(orb.stabilizer_words)) == 3 * orb.signed_orbit_size + 1
+        images = [rho_image(w) for w in orb.stabilizer_words]
+        assert list(orb.stabilizer_rho) == list(dict.fromkeys(images))
+
+
+def test_lifts_abelianize_to_s_and_u():
+    # On Z/5 x Z/5 the standard pair ((1,0), (0,1)) precomposed with an
+    # automorphism is that automorphism's abelianized matrix mod 5, one
+    # column per generator.  Another lift of the same PSL2(Z) element,
+    # such as b^-2 for U, differs here.
+    g = abelian(5, 5)
+    for name, mat in (("S", matgroup.S), ("U", matgroup.U)):
+        x, y = LIFTS[name](g, 5, 1)
+        columns = (x // 5, y // 5, x % 5, y % 5)
+        assert columns in {tuple(v % 5 for v in m.entries()) for m in (mat, mat.neg())}, name
 
 # --- planted failures of the Cayley-table checks ---
 
@@ -288,10 +449,27 @@ def test_default_epi_is_the_first_epimorphism(spec):
     assert _default_epi(g) == epi_set(g)[0]
 
 
-def test_stabilizer_rho_is_rho_of_the_words():
-    for g in (symmetric(3), dihedral(4), quaternion(), alternating(4)):
-        orb = orbit_stabilizer(g, epi_set(g)[-1])
-        # one word per non-tree edge of the orbit graph, all distinct
-        assert len(set(orb.stabilizer_words)) == 3 * orb.signed_orbit_size + 1
-        images = [rho_image(w) for w in orb.stabilizer_words]
-        assert list(orb.stabilizer_rho) == list(dict.fromkeys(images))
+ORACLE_GROUPS = VERDICT_GROUPS + [
+    "sym:4", "sym:5", "alt:5", "dihedral:12", "dihedral:60", "cyclic:5",
+    "abelian:3,3", "abelian:8,8", "abelian:10,10",
+    "perm:(1 2 3 4 5 6 7),(2 3 5)(4 7 6)", "perm:(1 2 3 4 5),(1 2)",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_and_epis(spec):
+    g = parse_group_spec(spec)
+    return g, epi_set(g)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_image_orbit_matches_the_signed_orbit_oracle(spec, position):
+    g, epis = _group_and_epis(spec)
+    pi0 = epis[{"first": 0, "middle": len(epis) // 2, "last": -1}[position]]
+    got = orbit_stabilizer(g, pi0)
+    want = signed_orbit(g, pi0)
+    sizes = ("signed_orbit_size", "epi_orbit_size", "aut_plus_index", "sign_mixing")
+    assert [getattr(got, f) for f in sizes] == [getattr(want, f) for f in sizes]
+    same = got.image_table.serialize() == stabilizer_image_table(want).serialize()
+    assert same
