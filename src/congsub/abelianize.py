@@ -239,11 +239,13 @@ def predicted_invariants(m: int, n: int) -> AbelianInvariants:
 
 def lift_to_sl(p, m: int, n: int) -> Mat2:
     """The representative of a projective class lying in the congruence
-    subgroup; unique for m >= 3."""
+    subgroup; unique for m >= 3.  Its callers pass Schreier generators of
+    a table they built, so an element that does not lift is an internal
+    fault."""
     for cand in (p.rep, p.rep.neg()):
         if is_member(m, n, cand):
             return cand
-    raise ValueError("element does not lift into the subgroup")
+    raise RuntimeError("%s does not lift into the subgroup (%d, %d)" % (p, m, n))
 
 
 def hall_abelianization(m: int, n: int) -> AbelianInvariants:

@@ -1,12 +1,16 @@
 """Reidemeister-Schreier machinery over PSL2(Z) coset tables.
 
 Given a complete coset table this module produces a prefix-closed Schreier
-transversal, a rewritten subgroup presentation whose witnesses are the
-reduced Schreier generating set, and the free-product decomposition data
-(free rank plus the counts of order-2 and order-3 factors, read off from
-fixed points of the S and U actions).  The relator rewriter
-``rewrite_relators`` and ``free_reduce`` work over any table of named
-permutation columns; the Aut(F2) route uses them too.
+transversal, a subgroup presentation whose witnesses are the reduced
+Schreier generating set, and the free-product decomposition data (free
+rank plus the counts of order-2 and order-3 factors, read off from fixed
+points of the S and U actions).  The presentation is read off the S- and
+U-cycles in one scan: a non-tree edge occurs only in the rewritten S^2 or
+U^3 read around its own cycle, so Tietze elimination would drop the
+highest-numbered non-tree edge of each cycle of length 2 or 3 and keep
+each edge at a fixed point with the relator g^2 or g^3.  The relator
+rewriter ``rewrite_relators`` and ``free_reduce`` work over any table of
+named permutation columns; the Aut(F2) route uses them.
 """
 from __future__ import annotations
 
@@ -153,10 +157,6 @@ def free_rank(t: CosetTable) -> int:
     return dec.free_rank
 
 
-# S^2 and U^3 as words of (generator, exponent) tokens
-AMBIENT_RELATORS = ((("S", 1),) * 2, (("U", 1),) * 3)
-
-
 @dataclass(frozen=True)
 class SubgroupPresentation:
     """Presentation on the nontrivial Schreier generators.
@@ -258,78 +258,53 @@ def exponent_sums(words: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
 
 
 def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
-    """Reidemeister-Schreier rewriting of the ambient relator conjugates.
+    """Reidemeister-Schreier presentation, read off the S- and U-cycles.
 
-    Every non-tree edge of the transversal's tree starts as a generator
-    and S^2, U^3 are read from every coset.  Each generator occurs only in
-    the relators read around its own S- or U-orbit, and those are
-    rotations of one word of length at most 3, so the Tietze pass deletes
-    one generator per orbit of size 2 or 3 and the other rotations reduce
-    to the empty word.  What is left is k + f2 + f3 generators and only
-    the torsion relators g^2 (one per fixed point of S) and g^3 (one per
-    fixed point of U).  Witness words are computed for the surviving
-    generators only.
+    Rewriting S^2 and U^3 from every coset gives one generator per
+    non-tree edge (c, x) of the transversal's tree, numbered
+    coset-major with S before U, and relators in which each generator
+    occurs only within the relators read around its own x-cycle.  Those
+    are the rotations of one word over the cycle's non-tree edges, of
+    length at most 3 and with distinct letters unless the cycle is a
+    fixed point.  So a Tietze elimination through them deletes exactly
+    the highest-numbered non-tree edge of each cycle of length 2 or 3
+    and reduces the other rotations to the empty word, while a fixed
+    point c of S (of U) keeps its generator with the relator g^2 (g^3).
+    The presentation is therefore written down directly: k + f2 + f3
+    generators, the squares and then the cubes in generator order.
+    Witness words are computed for the kept generators only.
     """
     tr, edges, relators = _reduced_schreier(t)
     witnesses = tuple(GeneratorWord(_schreier_word(t, tr, c, x)) for c, x in edges)
-    relators.sort(key=lambda r: (len(r), r))
     return SubgroupPresentation(witnesses, tuple(relators))
 
 
 def _reduced_schreier(
     t: CosetTable,
 ) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]]]:
-    """The transversal, the non-tree edges (coset, letter) that survive
-    the Tietze pass, and the relators renumbered over them."""
-    tr, tree = transversal_with_tree(t)
-    edges, words = rewrite_relators({"S": t.s, "U": t.u}, tree, AMBIENT_RELATORS)
-    survivors, relators = _eliminate_short_relators(len(edges), words)
-    return tr, [edges[k - 1] for k in survivors], relators
+    """The transversal, the non-tree edges (coset, letter) that the
+    presentation keeps as generators and its torsion relators over them.
 
-
-def _eliminate_short_relators(
-    n_generators: int, words: list[tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Tietze elimination through relators of length at most 3 over
-    distinct generators.
-
-    The relators are scanned once, in order.  A short relator is rotated
-    so that its highest generator v comes last, rest * v^e = 1, and v is
-    replaced by rest^-1 (e = +1) or by rest (e = -1) in every relator
-    that holds it, found through an occurrence index.  Over
-    <S, U | S^2, U^3> the relators that share a generator are rotations
-    of one word, so the substitution reduces them all to the empty word
-    and no relator becomes short after the scan has passed it.  Torsion
-    relators g^2, g^3 are left alone, so the Kurosh shape stays visible
-    in the presentation.  Returns the surviving generators (1-based,
-    ascending) and the nonempty relators renumbered over them.
+    A coset at which S^2 or U^3 does not close is a corrupted table and
+    raises ``RuntimeError``.
     """
-    rels = list(words)
-    occurs: list[set[int]] = [set() for _ in range(n_generators + 1)]
-    for i, rel in enumerate(rels):
-        for k in rel:
-            occurs[abs(k)].add(i)
-    alive = [True] * (n_generators + 1)
-    for i in range(len(rels)):
-        rel = rels[i]
-        if not 0 < len(rel) <= 3 or len({abs(k) for k in rel}) < len(rel):
-            continue
-        top = max(range(len(rel)), key=lambda p: abs(rel[p]))
-        *rest, last = rel[top + 1 :] + rel[: top + 1]
-        victim = abs(last)
-        repl = tuple(rest) if last < 0 else tuple(-k for k in reversed(rest))
-        sub = {victim: repl, -victim: tuple(-k for k in reversed(repl))}
-        alive[victim] = False
-        for j in occurs[victim]:
-            rels[j] = free_reduce(x for k in rels[j] for x in sub.get(k, (k,)))
-            for k in rels[j]:
-                occurs[abs(k)].add(j)
-    survivors = [k for k in range(1, n_generators + 1) if alive[k]]
-    number = {k: i + 1 for i, k in enumerate(survivors)}
-    relators = [
-        tuple(number[k] if k > 0 else -number[-k] for k in rel) for rel in rels if rel
-    ]
-    return survivors, relators
+    tr, tree = transversal_with_tree(t)
+    edges: list[tuple[int, str]] = []
+    squares: list[tuple[int, ...]] = []
+    cubes: list[tuple[int, ...]] = []
+    for c in range(t.n):
+        for x, col, order, torsion in (("S", t.s, 2, squares), ("U", t.u, 3, cubes)):
+            cycle = [c]
+            for _ in range(order):
+                cycle.append(col[cycle[-1]])
+            if cycle[-1] != c:
+                raise RuntimeError("%s^%d does not close at coset %d" % (x, order, c))
+            if cycle[1] == c:
+                edges.append((c, x))
+                torsion.append((len(edges),) * order)
+            elif (c, x) not in tree and c != max(d for d in cycle if (d, x) not in tree):
+                edges.append((c, x))
+    return tr, edges, squares + cubes
 
 
 def abelianized_relation_matrix(p: SubgroupPresentation) -> list[list[int]]:

@@ -262,3 +262,15 @@ def test_wrong_free_rank_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err.startswith("error: internal: free rank 6 ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["abelianize", "--method", "hall", "--m", "4", "--n", "4"], ["satoh", "--m", "3"]],
+    ids=["hall", "satoh"],
+)
+def test_generator_outside_the_subgroup_is_an_internal_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(abelianize, "is_member", lambda m, n, x: False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("error: internal: ") and "does not lift into the subgroup" in err

@@ -119,7 +119,7 @@ def test_enumerate_upper_unipotent_level_two():
     assert tables_isomorphic(t, congruence_table(2, 1))
 
 
-@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1), (6, 2)])
+@pytest.mark.parametrize("m,n", list(all_pairs(24)))
 def test_enumerate_agrees_with_oracle(m, n):
     # derive generator words from the oracle table, then re-enumerate
     oracle = congruence_table(m, n)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congsub.abelianize import _sparse_smith, smith_invariants
 from congsub.cosets import (
     CosetTable,
     congruence_table,
@@ -16,14 +17,20 @@ from congsub.matgroup import (
 )
 from congsub.rewriting import (
     abelianized_relation_matrix,
+    exponent_sums,
     free_rank,
     is_free,
     kurosh_decompose,
+    rewrite_relators,
     schreier_generators,
     subgroup_presentation,
     transversal,
     transversal_with_tree,
 )
+
+# S^2 and U^3 as words of (generator, exponent) tokens
+S_SQUARED = (("S", 1),) * 2
+U_CUBED = (("U", 1),) * 3
 
 
 def lower_triangular_table():
@@ -125,16 +132,12 @@ def test_presentation_with_order_two_factor():
     assert p.n_generators == 2
     assert len(p.relators) == 1 and len(p.relators[0]) == 2
     # abelianization Z x Z/2
-    from congsub.abelianize import smith_invariants
-
     inv = smith_invariants(abelianized_relation_matrix(p), p.n_generators)
     assert inv.torsion == (2,) and inv.free_rank == 1
 
 
 def test_presentation_with_order_three_factor():
     p = subgroup_presentation(congruence_table(3, 1))
-    from congsub.abelianize import smith_invariants
-
     inv = smith_invariants(abelianized_relation_matrix(p), p.n_generators)
     assert inv.torsion == (3,) and inv.free_rank == 1
 
@@ -197,6 +200,12 @@ def test_presentation_has_kurosh_shape(t):
     words = [w for w, _ in schreier_generators(t)]
     assert all(t.trace(0, w) == 0 for w in words)
     assert tables_isomorphic(t, enumerate_cosets(words))
+    # oracle: the unreduced Reidemeister-Schreier presentation, S^2 and U^3
+    # rewritten from every coset, has the same abelianization
+    _, tree = transversal_with_tree(t)
+    edges, rels = rewrite_relators({"S": t.s, "U": t.u}, tree, (S_SQUARED, U_CUBED))
+    unreduced = _sparse_smith(exponent_sums(rels), len(edges))
+    assert unreduced == smith_invariants(abelianized_relation_matrix(p), p.n_generators)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -206,6 +215,13 @@ def test_schreier_matrices_are_their_witnesses(t):
     # multiplies each witness out letter by letter
     for word, elem in schreier_generators(t):
         assert word_to_matrix(word.letters) == elem
+
+
+@pytest.mark.parametrize("build", [subgroup_presentation, schreier_generators])
+def test_unclosed_relator_is_an_internal_error(build):
+    # U swaps the two cosets, so U^3 does not close at coset 0
+    with pytest.raises(RuntimeError, match="U\\^3 does not close at coset 0"):
+        build(CosetTable((1, 0), (1, 0)))
 
 
 def test_free_presentations_keep_no_relator():
