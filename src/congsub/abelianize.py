@@ -66,9 +66,9 @@ def smith_invariants(rows: list[list[int]], n_generators: int) -> AbelianInvaria
 
     Rows are relations, given as dense lists, and columns are the
     n_generators abelian generators.  The rows are made sparse and passed
-    to ``_sparse_smith``, the one kernel: unit-pivot elimination in
-    Markowitz order, then full elementary reduction of the small dense
-    residue, all over unbounded integers.
+    to ``_sparse_smith``, the one kernel: unit-pivot elimination taking
+    the shortest row from a row-keyed queue, then full elementary
+    reduction of the small dense residue, all over unbounded integers.
     """
     sparse: list[dict[int, int]] = []
     for r in rows:
@@ -85,40 +85,36 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
 
     Unit-pivot elimination after Havas, Holt & Rees (Recognizing badly
     presented Z-modules, 1993): a ±1 entry clears its column from every
-    other row and removes its row and column.  Pivots come from a heap
-    keyed by the Markowitz cost (row length - 1) * (column count - 1),
-    which bounds the fill-in; entries are checked when popped, skipped if
-    their row is gone or no longer holds a unit there, and pushed again
-    if their cost has changed.  Columns that no live row holds join the
-    free rank, and only the residue (live rows x columns that still
-    occur) goes to ``_dense_smith_diagonal``.  The rows are consumed.
+    other row and removes its row and column.  A heap holds one entry
+    (row length, version, row) per row that has a unit: the shortest row
+    is popped and pivots on its unit entry whose column the fewest rows
+    hold.  A row with no unit leaves the queue; each row a pivot rewrites
+    gets a new version and is pushed once more, and entries of an older
+    version are skipped.  Columns that no live row holds join the free
+    rank, and only the residue (live rows x columns that still occur)
+    goes to ``_dense_smith_diagonal``.  The rows are consumed.
     """
     holders: dict[int, set[int]] = {}  # column -> indices of the rows holding it
     for i, r in enumerate(rows):
         for j in r:
             holders.setdefault(j, set()).add(i)
-    heap: list[tuple[int, int, int]] = []
-
-    def units(i: int):
-        r = rows[i]
-        k = len(r) - 1
-        return [(k * (len(holders[j]) - 1), i, j) for j, v in r.items() if v == 1 or v == -1]
-
-    for i in range(len(rows)):
-        heap.extend(units(i))
+    version = [0] * len(rows)
+    heap = [
+        (len(r), 0, i) for i, r in enumerate(rows) if 1 in r.values() or -1 in r.values()
+    ]
     heapq.heapify(heap)
     live = [True] * len(rows)
     eliminated = 0
     while heap:
-        cost, pi, pj = heapq.heappop(heap)
+        _, ver, pi = heapq.heappop(heap)
+        if ver != version[pi]:
+            continue
         prow = rows[pi]
-        pv = prow.get(pj)
-        if not live[pi] or (pv != 1 and pv != -1):
+        units = [j for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
             continue
-        now = (len(prow) - 1) * (len(holders[pj]) - 1)
-        if now != cost:
-            heapq.heappush(heap, (now, pi, pj))
-            continue
+        pj = min(units, key=lambda j: len(holders[j]))
+        pv = prow[pj]
         live[pi] = False
         eliminated += 1
         rest = [(j, v) for j, v in prow.items() if j != pj]
@@ -138,9 +134,8 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
                 else:
                     del r[j]
                     holders[j].discard(i)
-        for i in touched:
-            for entry in units(i):
-                heapq.heappush(heap, entry)
+            version[i] += 1
+            heapq.heappush(heap, (len(r), version[i], i))
     occurring = sorted(j for j, held in holders.items() if held)
     col_pos = {j: k for k, j in enumerate(occurring)}
     dense = []
@@ -210,10 +205,14 @@ def _fix_divisibility(ds: list[int]) -> list[int]:
 
 
 def free_rank_formula(m: int, n: int) -> int:
-    """1 + n*m^2/12 * prod (1 - p^-2), exact (the free-rank closed form)."""
+    """1 + n*m^2/12 * prod (1 - p^-2), exact (the free-rank closed form).
+
+    The index is divisible by 12 for every free pair (m >= 3, (m, n) not
+    (3, 1)), the only pairs ``predicted_invariants`` passes, so a remainder
+    is an internal fault (RuntimeError), not a usage error."""
     v = index_formula(m, n)
     if v % 12 != 0:
-        raise ValueError("rank formula is not integral for (%d, %d)" % (m, n))
+        raise RuntimeError("rank formula is not integral for (%d, %d)" % (m, n))
     return 1 + v // 12
 
 

@@ -27,6 +27,7 @@ from congsub.fingroups import (
     alternating,
     cyclic,
     dihedral,
+    epi_set,
     parse_group_spec,
     quaternion,
     symmetric,
@@ -266,24 +267,41 @@ def abelian_types(max_order):
                 yield m, n
 
 
+def base_points(g):
+    """The first, middle and last pi0 of epi_set(g)."""
+    epis = epi_set(g)
+    return epis[0], epis[len(epis) // 2], epis[-1]
+
+
 def test_full_matches_prediction_for_abelian_targets():
     for m, n in abelian_types(16):
         g = cyclic(m) if n == 1 else abelian(m, n)
-        assert full_abelianization(g) == predicted_invariants(m, n), (m, n)
+        for pi0 in base_points(g):
+            assert full_abelianization(g, pi0) == predicted_invariants(m, n), (m, n, pi0)
 
 
 def test_full_dihedral_values():
     for r in (3, 4, 5, 6):
-        inv = full_abelianization(dihedral(r))
-        assert inv == AbelianInvariants((2,), 2 if r % 2 else 3), r
+        g = dihedral(r)
+        for pi0 in base_points(g):
+            inv = full_abelianization(g, pi0)
+            assert inv == AbelianInvariants((2,), 2 if r % 2 else 3), (r, pi0)
 
 
 def test_full_and_image_routes_for_sym4():
-    g = symmetric(4)
-    full = full_abelianization(g)
-    assert full == AbelianInvariants((), 6)
-    # the full abelianization surjects onto the image's
-    assert image_abelianization(g).free_rank <= full.free_rank
+    """Pinned full abelianizations of non-abelian targets (alt:5 at the
+    default pi0 only: it takes about a second); the full abelianization
+    surjects onto the image's, so the image's free rank is no larger."""
+    pinned = [
+        (symmetric(4), AbelianInvariants((), 6), True),
+        (alternating(4), AbelianInvariants((), 3), True),
+        (quaternion(), AbelianInvariants((4,), 2), True),
+        (alternating(5), AbelianInvariants((), 17), False),
+    ]
+    for g, want, every_base_point in pinned:
+        for pi0 in base_points(g) if every_base_point else (None,):
+            assert full_abelianization(g, pi0) == want, (g.tag, pi0)
+        assert image_abelianization(g).free_rank <= want.free_rank, g.tag
 
 
 def test_image_abelianization_level_two():

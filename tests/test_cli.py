@@ -264,6 +264,13 @@ def test_wrong_free_rank_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("error: internal: free rank 6 ")
 
 
+def test_non_integral_rank_formula_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(abelianize, "index_formula", lambda m, n: 13)
+    code, out, err = run(capsys, "verify", "abelianization", "--max-m", "4")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("error: internal: rank formula is not integral for ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["abelianize", "--method", "hall", "--m", "4", "--n", "4"], ["satoh", "--m", "3"]],
