@@ -6,9 +6,10 @@ Three routes produce invariants of finitely generated abelian groups:
   the free generators of a congruence subgroup conjugate the two basic
   inner automorphisms (their abelianized images only depend on the matrix
   entries), for torsion-free congruence parameters;
-* ``full_abelianization`` rewrites the finite presentation of the whole
-  automorphism group through the signed-orbit coset table of a stabilizer
-  (this is the route that also covers the non-free exceptional cases);
+* ``full_abelianization`` rewrites the finite presentation of Aut+(F2)
+  through the coset table of a stabilizer, the Aut+(F2)-orbit of a
+  generating pair (this is the route that also covers the non-free
+  exceptional cases);
 * ``image_abelianization`` abelianizes the projective image subgroup of
   PSL2(Z), which suffices to certify infinite abelianization for every
   non-perfect target group.
@@ -148,7 +149,10 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
     diag = _dense_smith_diagonal(dense, len(occurring))
     torsion = _fix_divisibility([d for d in diag if d > 1])
     torsion = [d for d in torsion if d > 1]
-    return AbelianInvariants(tuple(torsion), n_cols - eliminated - len(diag))
+    rank = eliminated + len(diag)
+    if rank > n_cols:  # a kernel fault, not invalid input
+        raise RuntimeError("Smith rank %d exceeds %d columns" % (rank, n_cols))
+    return AbelianInvariants(tuple(torsion), n_cols - rank)
 
 
 def _dense_smith_diagonal(m: list[list[int]], n_cols: int) -> list[int]:
@@ -289,8 +293,8 @@ def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
 def full_abelianization(
     g: FiniteGroup, pi0: Epimorphism | None = None
 ) -> AbelianInvariants:
-    """Abelianization of the special stabilizer, by rewriting the ambient
-    presentation through the signed-orbit coset table."""
+    """Abelianization of the special stabilizer, by rewriting the
+    presentation of Aut+(F2) through the orbit table of the pair pi0."""
     if pi0 is None:
         pi0 = _default_epi(g)
     rows, n_syms = autpres.stabilizer_relation_rows(g, pi0)

@@ -1,23 +1,23 @@
-"""A finite presentation of the rank-2 free group's automorphism group,
-and Reidemeister-Schreier rewriting of stabilizer subgroups through it.
+"""A finite presentation of the special automorphism group Aut+(F2) of
+the rank-2 free group, and Reidemeister-Schreier rewriting of stabilizer
+subgroups through it.
 
 The group of automorphisms acting trivially on the abelianization is
 inner for rank 2, free on the conjugations by the two basis letters.  The
-full automorphism group is therefore an extension of GL2(Z) by that free
-group, and a presentation can be assembled mechanically: take the
-classical amalgam presentation of GL2(Z) (dihedral of order 8 and
-dihedral of order 12 glued over a Klein four-group), lift each relator to
-an explicit automorphism, and express the resulting inner automorphism as
-a word in the two basic conjugations.  Every relator produced this way is
-verified to evaluate to the identity automorphism, exactly, at build
-time.
+automorphisms of determinant +1 therefore form an extension of SL2(Z) by
+that free group, and a presentation can be assembled mechanically: take
+the amalgam presentation Z/4 *_{Z/2} Z/6 of SL2(Z) (the determinant +1
+part of the GL2(Z) amalgam of dihedral groups of order 8 and 12 glued
+over a Klein four-group), lift each relator to an explicit automorphism,
+and express the resulting inner automorphism as a word in the two basic
+conjugations.  Every relator produced this way is verified to evaluate
+to the identity automorphism, exactly, at build time.
 
-Generators of the presentation:
+Generators of the presentation, all of determinant +1:
 
-    ax, ay : conjugation by x, by y (determinant +1)
-    s      : x -> y^-1, y -> x         (the order-4 rotation, det +1)
-    b      : order-6 element with b^3 = s^2 (det +1)
-    j      : x -> y, y -> x            (the basis swap, det -1)
+    ax, ay : conjugation by x, by y
+    s      : x -> y^-1, y -> x         (the order-4 rotation)
+    b      : order-6 element with b^3 = s^2
 """
 from __future__ import annotations
 
@@ -67,15 +67,6 @@ def a_compose(f: Aut, g: Aut) -> Aut:
     return (a_apply(f, g[0]), a_apply(f, g[1]))
 
 
-def a_det(f: Aut) -> int:
-    """Determinant of the abelianized action."""
-    a = sum(1 if v == 1 else -1 for v in f[0] if abs(v) == 1)
-    c = sum(1 if v == 2 else -1 for v in f[0] if abs(v) == 2)
-    b = sum(1 if v == 1 else -1 for v in f[1] if abs(v) == 1)
-    d = sum(1 if v == 2 else -1 for v in f[1] if abs(v) == 2)
-    return a * d - b * c
-
-
 def conjugation_by(w: Fword) -> Aut:
     return (w_mul(w, X, w_inv(w)), w_mul(w, Y, w_inv(w)))
 
@@ -108,7 +99,7 @@ def find_conjugator(f: Aut) -> Fword | None:
 
 # --- presentation generators ---
 
-GENS = ("ax", "ay", "s", "b", "j")
+GENS = ("ax", "ay", "s", "b")
 
 _P: Aut = (Y, X)
 _O: Aut = (w_inv(X), Y)
@@ -121,7 +112,6 @@ GEN_AUT: dict[str, Aut] = {
     "s": a_compose(_P, _O),
     # b = P O P R^-1 P, an order-6 element with b^3 = s^2
     "b": a_compose(a_compose(a_compose(a_compose(_P, _O), _P), _R_INV), _P),
-    "j": _P,
 }
 
 Token = tuple[str, int]  # generator name, exponent +1 / -1
@@ -139,8 +129,6 @@ def _gen_aut_inv(name: str) -> Aut:
         return a_compose(_O, _P)
     if name == "b":
         return a_compose(a_compose(a_compose(a_compose(_P, _R), _P), _O), _P)
-    if name == "j":
-        return _P
     raise ValueError(name)
 
 
@@ -178,22 +166,19 @@ class Presentation:
 
 @lru_cache(maxsize=None)
 def presentation() -> Presentation:
-    """Finite presentation of the full automorphism group.
+    """Finite presentation of Aut+(F2): 4 generators, 7 relators.
 
-    Quotient relators (images generate GL2(Z) with the amalgam relations
-    s^4, b^6, s^2 b^-3, j^2, (js)^2, (jb)^2) are corrected by the inner
-    word each lift evaluates to; conjugation relators express how s, b, j
-    move the basic conjugations around.  Build fails loudly if any
-    candidate relator is not the identity automorphism.
+    Quotient relators (images generate SL2(Z) with the amalgam relations
+    s^4, b^6, s^2 b^-3) are corrected by the inner word each lift
+    evaluates to; conjugation relators express how s and b move the
+    basic conjugations around.  Build fails loudly if any candidate
+    relator is not the identity automorphism.
     """
     relators: list[TokenWord] = []
     quotient_relators: list[TokenWord] = [
         _pow("s", 4),
         _pow("b", 6),
         _pow("s", 2) + _pow("b", -3),
-        _pow("j", 2),
-        (("j", 1), ("s", 1)) * 2,
-        (("j", 1), ("b", 1)) * 2,
     ]
     for word in quotient_relators:
         f = evaluate(word)
@@ -201,7 +186,7 @@ def presentation() -> Presentation:
         if w is None:
             raise RuntimeError("lifted relator is not inner: %r" % (word,))
         relators.append(word + _tok_inv(_alpha_word(w)))
-    for q in ("s", "b", "j"):
+    for q in ("s", "b"):
         for name, base in (("ax", X), ("ay", Y)):
             target = a_apply(GEN_AUT[q], base)
             word = ((q, 1), (name, 1), (q, -1)) + _tok_inv(_alpha_word(target))
@@ -212,7 +197,7 @@ def presentation() -> Presentation:
     return Presentation(GENS, tuple(relators))
 
 
-# --- action of the presentation generators on signed generator pairs ---
+# --- action of the presentation generators on generating pairs ---
 
 def _eval_in_group(g: FiniteGroup, w: Fword, gx: int, gy: int) -> int:
     acc = 0
@@ -225,38 +210,40 @@ def _eval_in_group(g: FiniteGroup, w: Fword, gx: int, gy: int) -> int:
 
 
 def _state_action(g: FiniteGroup, name: str):
-    aut = GEN_AUT[name]
-    det = a_det(aut)
+    wx, wy = GEN_AUT[name]
 
     def step(state):
-        gx, gy, sign = state
-        return (
-            _eval_in_group(g, aut[0], gx, gy),
-            _eval_in_group(g, aut[1], gx, gy),
-            sign * det,
-        )
+        gx, gy = state
+        return (_eval_in_group(g, wx, gx, gy), _eval_in_group(g, wy, gx, gy))
 
     return step
 
 
 @dataclass(frozen=True)
-class SignedTable:
-    """Coset table of the special stabilizer inside the full automorphism
-    group: states are signed generator pairs, columns the presentation
-    generators."""
+class PairTable:
+    """Coset table of the special stabilizer inside Aut+(F2): states are
+    the generating pairs (images of x and y) in the Aut+(F2)-orbit of the
+    base pair, columns the presentation generators acting by
+    precomposition."""
 
     n: int
     forward: dict[str, tuple[int, ...]]
     tree: frozenset[tuple[int, str]]  # non-root states' discovery edges (state, gen)
 
 
-def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> SignedTable:
+def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> PairTable:
+    """The orbit table of the generating pair pi0 under Aut+(F2).
+
+    Every generator has determinant +1, so the stabilizer of pi0 under
+    this action is the special stabilizer itself; its index is
+    ``orbit_stabilizer(g, pi0).aut_plus_index``.
+    """
     if len(g.closure((pi0.gx, pi0.gy))) != g.order:
         raise ValueError("pi0 is not an epimorphism onto the group")
     states, forward, tree = orbit_table(
-        (pi0.gx, pi0.gy, 1), {name: _state_action(g, name) for name in GENS}
+        (pi0.gx, pi0.gy), {name: _state_action(g, name) for name in GENS}
     )
-    return SignedTable(len(states), forward, frozenset(tree))
+    return PairTable(len(states), forward, frozenset(tree))
 
 
 def stabilizer_relation_rows(
@@ -265,8 +252,8 @@ def stabilizer_relation_rows(
     """Abelianized Reidemeister-Schreier data for the special stabilizer.
 
     Returns sparse exponent-sum rows ({column: nonzero sum}) over the
-    n_syms non-tree Schreier generators of the stabilizer of the signed
-    pair, one row per (relator, coset) with the zero rows dropped, and
+    n_syms non-tree Schreier generators of the stabilizer of the pair
+    pi0, one row per (relator, state) with the zero rows dropped, and
     n_syms.
     """
     table = signed_coset_table(g, pi0)

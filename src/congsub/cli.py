@@ -272,14 +272,16 @@ def verify_decomposition(args) -> list[tuple[str, bool]]:
     return results
 
 
+VERDICT_SPECS = (
+    "cyclic:2", "cyclic:3", "cyclic:4", "abelian:2,2", "cyclic:6",
+    "sym:3", "dihedral:4", "quaternion", "cyclic:12", "alt:4",
+    "dihedral:6", "abelian:4,2",
+)
+
+
 def verify_verdicts(args) -> list[tuple[str, bool]]:
-    specs = [
-        "cyclic:2", "cyclic:3", "cyclic:4", "abelian:2,2", "cyclic:6",
-        "sym:3", "dihedral:4", "quaternion", "cyclic:12", "alt:4",
-        "dihedral:6", "abelian:4,2",
-    ]
     results = []
-    for spec in specs:
+    for spec in VERDICT_SPECS:
         g = fingroups.parse_group_spec(spec)
         v = abelianize.infinite_abelianization_verdict(g)
         results.append(

@@ -8,7 +8,7 @@ common sign.  The subgroup's elements +-(1 0; g 1), n | g, act on the
 left by adding multiples of n times the first row to the second, which is
 exactly what the key forgets, and S and U act on the key row by row from
 the right.  Agreement of the two is the main internal cross-check.  The
-congruence action, the signed-orbit table of the Aut(F2) route and the
+congruence action, the pair-orbit table of the Aut+(F2) route and the
 image orbit of generating pairs all come from the one breadth-first
 orbit function ``orbit_table``.
 """

@@ -10,7 +10,7 @@ U^3 read around its own cycle, so Tietze elimination would drop the
 highest-numbered non-tree edge of each cycle of length 2 or 3 and keep
 each edge at a fixed point with the relator g^2 or g^3.  The relator
 rewriter ``rewrite_relators`` and ``free_reduce`` work over any table of
-named permutation columns; the Aut(F2) route uses them.
+named permutation columns; the Aut+(F2) route uses them.
 """
 from __future__ import annotations
 

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+from congsub.abelianize import _sparse_smith, full_abelianization
 from congsub.autpres import (
     AUT_ID,
     GENS,
@@ -8,28 +11,47 @@ from congsub.autpres import (
     Y,
     a_apply,
     a_compose,
-    a_det,
     conjugation_by,
     evaluate,
     find_conjugator,
     presentation,
     signed_coset_table,
     stabilizer_relation_rows,
+    token_aut,
     w_inv,
     w_mul,
+    _alpha_word,
     _eval_in_group,
+    _pow,
     _state_action,
     _tok_inv,
 )
+from congsub.cli import VERDICT_SPECS
+from congsub.cosets import orbit_table
 from congsub.fingroups import (
     abelian,
     cyclic,
     dihedral,
     epi_set,
+    orbit_stabilizer,
+    parse_group_spec,
     quaternion,
     symmetric,
 )
-from congsub.rewriting import free_reduce, rewrite_relators
+from congsub.rewriting import exponent_sums, free_reduce, rewrite_relators
+
+# the basis swap x <-> y, of determinant -1: it lies outside Aut+(F2)
+J = (Y, X)
+
+
+def a_det(f):
+    """Determinant of the abelianized action."""
+    a = sum(1 if v == 1 else -1 for v in f[0] if abs(v) == 1)
+    c = sum(1 if v == 2 else -1 for v in f[0] if abs(v) == 2)
+    b = sum(1 if v == 1 else -1 for v in f[1] if abs(v) == 1)
+    d = sum(1 if v == 2 else -1 for v in f[1] if abs(v) == 2)
+    return a * d - b * c
+
 
 TEST_GROUPS = [
     cyclic(2),
@@ -50,7 +72,8 @@ def test_free_word_algebra():
 
 def test_generator_determinants():
     dets = {name: a_det(aut) for name, aut in GEN_AUT.items()}
-    assert dets == {"ax": 1, "ay": 1, "s": 1, "b": 1, "j": -1}
+    assert dets == {"ax": 1, "ay": 1, "s": 1, "b": 1}
+    assert a_det(J) == -1
 
 
 def test_compose_order():
@@ -69,25 +92,23 @@ def test_find_conjugator_round_trip():
 
 def test_find_conjugator_rejects_outer():
     assert find_conjugator(GEN_AUT["s"]) is None
-    assert find_conjugator(GEN_AUT["j"]) is None
+    assert find_conjugator(J) is None
 
 
 def test_presentation_relators_sound():
     pres = presentation()
     assert pres.generators == GENS
-    assert len(pres.relators) == 12
+    assert len(pres.relators) == 7
     for rel in pres.relators:
         assert evaluate(rel) == AUT_ID
 
 
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
 def test_relators_fix_every_signed_state(g):
+    # the states are generating pairs; the test id keeps its earlier name
     pres = presentation()
     steps = {name: _state_action(g, name) for name in GENS}
-    states = set()
-    for pi in epi_set(g):
-        for sign in (1, -1):
-            states.add((pi.gx, pi.gy, sign))
+    states = {(pi.gx, pi.gy) for pi in epi_set(g)}
     for rel in pres.relators:
         for state in states:
             cur = state
@@ -107,13 +128,26 @@ def test_relators_fix_every_signed_state(g):
 
 @pytest.mark.parametrize(
     "g,expected",
-    [(cyclic(2), 6), (abelian(2, 2), 12), (cyclic(3), 16), (cyclic(4), 24)],
+    [(cyclic(2), 3), (abelian(2, 2), 6), (cyclic(3), 8), (cyclic(4), 12)],
     ids=lambda v: getattr(v, "tag", v),
 )
 def test_signed_table_size(g, expected):
-    # twice the index of the special stabilizer in the special group
+    # the index of the special stabilizer in Aut+(F2)
     table = signed_coset_table(g, epi_set(g)[0])
     assert table.n == expected
+
+
+def _first_middle_last(g):
+    epis = epi_set(g)
+    return [epis[k] for k in sorted({0, len(epis) // 2, len(epis) - 1})]
+
+
+@pytest.mark.parametrize("spec", VERDICT_SPECS)
+def test_orbit_size_matches_the_image_route_formula(spec):
+    # the image route's |G/Z(G)| k epsilon, from an independent orbit
+    g = parse_group_spec(spec)
+    for pi0 in _first_middle_last(g):
+        assert signed_coset_table(g, pi0).n == orbit_stabilizer(g, pi0).aut_plus_index
 
 
 def test_signed_table_columns_are_permutations():
@@ -142,13 +176,9 @@ def test_relation_rows_shape():
 
 
 def _act_on_pair(g, f, state):
-    """The signed pair state precomposed with the automorphism f."""
-    gx, gy, sign = state
-    return (
-        _eval_in_group(g, f[0], gx, gy),
-        _eval_in_group(g, f[1], gx, gy),
-        sign * a_det(f),
-    )
+    """The generating pair state precomposed with the automorphism f."""
+    gx, gy = state
+    return (_eval_in_group(g, f[0], gx, gy), _eval_in_group(g, f[1], gx, gy))
 
 
 @pytest.mark.parametrize(
@@ -158,7 +188,7 @@ def test_rewritten_relators_are_products_of_schreier_generators(g):
     # each Schreier generator is evaluated as an automorphism from its
     # tree words, independently of the coset table that numbered it
     pi0 = epi_set(g)[0]
-    base = (pi0.gx, pi0.gy, 1)
+    base = (pi0.gx, pi0.gy)
     table = signed_coset_table(g, pi0)
     edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
     tree_word = {0: ()}
@@ -169,10 +199,92 @@ def test_rewritten_relators_are_products_of_schreier_generators(g):
         for c, name in edges
     ]
     for w in gen_word:
-        assert _act_on_pair(g, evaluate(w), base) == base
+        f = evaluate(w)
+        assert a_det(f) == 1 and _act_on_pair(g, f, base) == base
     assert len(words) == len(presentation().relators) * table.n
     for word in words:
         product = ()
         for k in word:
             product += gen_word[k - 1] if k > 0 else _tok_inv(gen_word[-k - 1])
         assert evaluate(product) == AUT_ID
+
+
+# --- the oracle: the former route through all of Aut(F2) ---
+#
+# Aut(F2) = <ax, ay, s, b, j> with 12 relators: the lifts of the GL2(Z)
+# amalgam relations s^4, b^6, s^2 b^-3, j^2, (js)^2, (jb)^2, each corrected
+# by its inner word, and the conjugation relators of s, b and j on ax and
+# ay.  Its coset table is the orbit of the signed state (pi0, +1), where a
+# generator multiplies the sign by its determinant; the stabilizer of that
+# state is again the special stabilizer.
+
+SIGNED_GENS = GENS + ("j",)
+
+
+def _signed_aut(tok):
+    return J if tok[0] == "j" else token_aut(tok)
+
+
+def _signed_evaluate(word):
+    f = AUT_ID
+    for tok in word:
+        f = a_compose(f, _signed_aut(tok))
+    return f
+
+
+@lru_cache(maxsize=None)
+def signed_relators():
+    quotient = [
+        _pow("s", 4),
+        _pow("b", 6),
+        _pow("s", 2) + _pow("b", -3),
+        _pow("j", 2),
+        (("j", 1), ("s", 1)) * 2,
+        (("j", 1), ("b", 1)) * 2,
+    ]
+    relators = []
+    for word in quotient:
+        w = find_conjugator(_signed_evaluate(word))
+        assert w is not None
+        relators.append(word + _tok_inv(_alpha_word(w)))
+    for q in ("s", "b", "j"):
+        for name, base in (("ax", X), ("ay", Y)):
+            target = a_apply(_signed_aut((q, 1)), base)
+            relators.append(((q, 1), (name, 1), (q, -1)) + _tok_inv(_alpha_word(target)))
+    assert all(_signed_evaluate(rel) == AUT_ID for rel in relators)
+    return tuple(relators)
+
+
+def _signed_step(g, name):
+    aut = _signed_aut((name, 1))
+    det = a_det(aut)
+
+    def step(state):
+        gx, gy, sign = state
+        return (
+            _eval_in_group(g, aut[0], gx, gy),
+            _eval_in_group(g, aut[1], gx, gy),
+            sign * det,
+        )
+
+    return step
+
+
+def signed_abelianization(g, pi0):
+    """The special stabilizer's abelianization through the signed orbit,
+    and the number of signed states."""
+    states, forward, tree = orbit_table(
+        (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
+    )
+    edges, words = rewrite_relators(forward, frozenset(tree), signed_relators())
+    rows = [row for row in exponent_sums(words) if row]
+    return _sparse_smith(rows, len(edges)), len(states)
+
+
+@pytest.mark.parametrize("spec", VERDICT_SPECS)
+def test_special_route_matches_the_signed_oracle(spec):
+    g = parse_group_spec(spec)
+    for pi0 in _first_middle_last(g):
+        want, n_signed = signed_abelianization(g, pi0)
+        assert full_abelianization(g, pi0) == want
+        assert n_signed == 2 * signed_coset_table(g, pi0).n

@@ -264,6 +264,14 @@ def test_wrong_free_rank_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("error: internal: free rank 6 ")
 
 
+def test_smith_rank_beyond_the_columns_is_an_internal_error(capsys, monkeypatch):
+    # a faulty dense pass must not read as a usage error (exit 2)
+    monkeypatch.setattr(abelianize, "_dense_smith_diagonal", lambda m, n: [1] * 10**4)
+    code, out, err = run(capsys, "abelianize", "--method", "hall", "--m", "6", "--n", "3")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("error: internal: Smith rank ")
+
+
 def test_non_integral_rank_formula_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(abelianize, "index_formula", lambda m, n: 13)
     code, out, err = run(capsys, "verify", "abelianization", "--max-m", "4")
