@@ -7,10 +7,14 @@ is its key: the first matrix row mod m and the second row mod n, up to a
 common sign.  The subgroup's elements +-(1 0; g 1), n | g, act on the
 left by adding multiples of n times the first row to the second, which is
 exactly what the key forgets, and S and U act on the key row by row from
-the right.  Agreement of the two is the main internal cross-check.  The
-congruence action, the pair-orbit table of the Aut+(F2) route and the
-image orbit of generating pairs all come from the one breadth-first
-orbit function ``orbit_table``.
+the right.  The key is packed into one integer: a row (a, b) mod q is
+coded a*q + b and the key is (row 1's code)*n^2 + (row 2's code), which
+orders the keys as the tuples (a, b, c, d) are ordered.  The two
+constructions are compared in the tests (``test_enumerate_agrees_with_oracle``)
+and in the benchmark's ``table`` job; no command of the package runs
+Todd-Coxeter.  The congruence action, the pair-orbit table of the
+Aut+(F2) route and the image orbit of generating pairs all come from the
+one breadth-first orbit function ``orbit_table``.
 """
 from __future__ import annotations
 
@@ -45,19 +49,24 @@ class CosetTable:
     def n(self) -> int:
         return len(self.s)
 
-    def apply(self, coset: int, letter: str) -> int:
+    def column(self, letter: str) -> tuple[int, ...]:
+        """The action of one PSL letter ('S', 'U' or 'u' = U^-1) on all cosets."""
         if letter == "S":
-            return self.s[coset]
+            return self.s
         if letter == "U":
-            return self.u[coset]
+            return self.u
         if letter == "u":
-            return self.u2[coset]
+            return self.u2
         raise ValueError("unknown letter %r" % letter)
+
+    def apply(self, coset: int, letter: str) -> int:
+        return self.column(letter)[coset]
 
     def trace(self, coset: int, word: GeneratorWord | str) -> int:
         letters = word.letters if isinstance(word, GeneratorWord) else word
+        cols = {x: self.column(x) for x in set(letters)}
         for x in letters:
-            coset = self.apply(coset, x)
+            coset = cols[x][coset]
         return coset
 
     def validate(self):
@@ -112,11 +121,12 @@ def tables_isomorphic(t1: CosetTable, t2: CosetTable) -> bool:
         return False
     mapping = {0: 0}
     queue = deque([0])
+    pairs = ((t1.s, t2.s), (t1.u, t2.u))
     while queue:
         c = queue.popleft()
-        for letter in "SU":
-            d1 = t1.apply(c, letter)
-            d2 = t2.apply(mapping[c], letter)
+        for col1, col2 in pairs:
+            d1 = col1[c]
+            d2 = col2[mapping[c]]
             if d1 in mapping:
                 if mapping[d1] != d2:
                     return False
@@ -159,6 +169,18 @@ def orbit_table(
     return states, {name: tuple(col) for name, col in columns.items()}, tree
 
 
+def _row_actions(q: int) -> tuple[list[int], list[int], list[int]]:
+    """S, U and negation on the rows (a, b) mod q, each row coded a*q + b:
+    S sends (a, b) to (-b, a), U sends it to (b, b - a)."""
+    s, u, neg = [], [], []
+    for a in range(q):
+        for b in range(q):
+            s.append(-b % q * q + a)
+            u.append(b * q + (b - a) % q)
+            neg.append(-a % q * q + -b % q)
+    return s, u, neg
+
+
 def congruence_table(m: int, n: int) -> CosetTable:
     """Coset table of the projective congruence subgroup for (m, n).
 
@@ -171,26 +193,45 @@ def congruence_table(m: int, n: int) -> CosetTable:
     same determinant differs from it by a multiple of the first row,
     which vanishes mod n only for a multiple of n.  S and U act on the
     rows from the right: S sends (a, b) to (-b, a) and U sends it to
-    (b, b - a).  Needs no generator words at all, which is what makes it
-    an independent oracle for the Todd-Coxeter path.
+    (b, b - a).  The key is one integer, ((a*m + b)*n + c)*n + d for the
+    reduced entries: b < m and c*n + d < n^2, so the code orders keys as
+    the tuples (a, b, c, d) are ordered, and the smaller code is the
+    smaller sign.  S, U and negation act on the row codes through lists
+    built once per modulus.  Needs no generator words at all, which is
+    what makes it an independent oracle for the Todd-Coxeter path.
     """
     _check_pair(m, n)
+    s_m, u_m, neg_m = _row_actions(m)
+    s_n, u_n, neg_n = _row_actions(n)
+    nn = n * n
 
-    def key(a, b, c, d):
-        return min((a % m, b % m, c % n, d % n), (-a % m, -b % m, -c % n, -d % n))
+    def key(r1: int, r2: int) -> int:
+        return min(r1 * nn + r2, neg_m[r1] * nn + neg_n[r2])
+
+    def step(act_m: list[int], act_n: list[int]) -> Callable[[int], int]:
+        def go(k: int) -> int:
+            # key(act_m[r1], act_n[r2]), written out: a nested call here costs
+            # a fifth of the table's build time
+            r1, r2 = divmod(k, nn)
+            r1, r2 = act_m[r1], act_n[r2]
+            x, y = r1 * nn + r2, neg_m[r1] * nn + neg_n[r2]
+            return x if x < y else y
+
+        return go
 
     _, cols, _ = orbit_table(
-        key(1, 0, 0, 1),
-        {
-            "S": lambda x: key(-x[1], x[0], -x[3], x[2]),
-            "U": lambda x: key(x[1], x[1] - x[0], x[3], x[3] - x[2]),
-        },
+        key(1 % m * m, 1 % n), {"S": step(s_m, s_n), "U": step(u_m, u_n)}
     )
-    t = CosetTable(cols["S"], cols["U"])
+    return _checked(CosetTable(cols["S"], cols["U"]), "congruence table (%d, %d)" % (m, n))
+
+
+def _checked(t: CosetTable, source: str) -> CosetTable:
+    """t, after ``validate()``: a table built here that fails it is an
+    internal fault, so its ``ValueError`` is raised as ``RuntimeError``."""
     try:
         t.validate()
     except ValueError as exc:
-        raise RuntimeError("congruence table (%d, %d): %s" % (m, n, exc)) from exc
+        raise RuntimeError("%s: %s" % (source, exc)) from exc
     return t
 
 
@@ -331,6 +372,4 @@ def _standardize(enum: _Enumerator) -> CosetTable:
     for old, new in order.items():
         s[new] = order[live_next[old][0]]
         u[new] = order[live_next[old][1]]
-    t = CosetTable(tuple(s), tuple(u))
-    t.validate()
-    return t
+    return _checked(CosetTable(tuple(s), tuple(u)), "Todd-Coxeter table")

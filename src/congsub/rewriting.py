@@ -39,7 +39,18 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     Edges are explored in the fixed order S < U < U^2 so the result is
     deterministic for a given table.
     """
-    return transversal_with_tree(t)[0]
+    words: list[str | None] = [None] * t.n
+    words[0] = ""
+    steps = [(letter, t.column(letter)) for letter in "SUu"]
+    queue = deque([0])
+    while queue:
+        c = queue.popleft()
+        for letter, col in steps:
+            d = col[c]
+            if words[d] is None:
+                words[d] = words[c] + letter
+                queue.append(d)
+    return tuple(words)  # type: ignore[arg-type]
 
 
 def transversal_with_tree(
@@ -49,25 +60,23 @@ def transversal_with_tree(
 
     A tree edge explored via the letter u (= U^-1) consumes the pair
     (target, 'U'); every tree edge consumes exactly one pair, so the raw
-    Schreier generator count is 2*n - (n - 1).
+    Schreier generator count is 2*n - (n - 1).  The tree edge into coset
+    d is read off the last letter x of its word: it leaves x^-1(d).
     """
-    words: list[str | None] = [None] * t.n
-    words[0] = ""
-    tree: set[tuple[int, str]] = set()
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        for letter in "SUu":
-            d = t.apply(c, letter)
-            if words[d] is None:
-                words[d] = words[c] + letter
-                tree.add((d, "U") if letter == "u" else (c, letter))
-                queue.append(d)
-    return tuple(words), frozenset(tree)  # type: ignore[arg-type]
+    tr = transversal(t)
+    back = {x: t.column(_PSL_INVERSE[x]) for x in _PSL_INVERSE}
+
+    def edge(d: int) -> tuple[int, str]:
+        x = tr[d][-1]
+        return (d, "U") if x == "u" else (back[x][d], x)
+
+    return tr, frozenset(map(edge, range(1, t.n)))
 
 
-def _schreier_word(t: CosetTable, tr, coset: int, letter: str) -> str:
-    return normalize_psl(tr[coset] + letter + invert_psl(tr[t.apply(coset, letter)]))
+def _schreier_word(tr, coset: int, letter: str, target: int) -> str:
+    """The witness tr[coset] letter tr[target]^-1 of the edge from coset to
+    target = letter(coset), in normal form."""
+    return normalize_psl(tr[coset] + letter + invert_psl(tr[target]))
 
 
 def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]:
@@ -78,21 +87,30 @@ def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]
     so for torsion-free subgroups the result is a free basis.  The
     witness of the edge (c, x) is tr[c] x tr[x(c)]^-1, so its matrix is
     M[c] * x * M[x(c)]^-1, where M[c] is the matrix of the transversal
-    word of coset c, built once per coset from the word's prefix.
+    word of coset c, built once per coset from the word's prefix.  A
+    product that fails ``Mat2``'s determinant check is an internal fault
+    and raises ``RuntimeError``.
     """
     tr, edges, _ = _reduced_schreier(t)
-    # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
-    mats = [IDENTITY] * t.n
-    for c in sorted(range(1, t.n), key=lambda c: len(tr[c])):
-        last = tr[c][-1]
-        mats[c] = mats[t.apply(c, _PSL_INVERSE[last])] * _LETTER_MATRIX[last]
-    out = []
+    cols = {x: t.column(x) for x in _PSL_INVERSE}
+    words = []
     for c, x in edges:
-        w = GeneratorWord(_schreier_word(t, tr, c, x))
+        w = GeneratorWord(_schreier_word(tr, c, x, cols[x][c]))
         if t.trace(0, w) != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        out.append((w, PslElement(mats[c] * _LETTER_MATRIX[x] * mats[t.apply(c, x)].inv())))
-    return out
+        words.append(w)
+    try:
+        # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
+        mats = [IDENTITY] * t.n
+        for c in sorted(range(1, t.n), key=lambda c: len(tr[c])):
+            last = tr[c][-1]
+            mats[c] = mats[cols[_PSL_INVERSE[last]][c]] * _LETTER_MATRIX[last]
+        return [
+            (w, PslElement(mats[c] * _LETTER_MATRIX[x] * mats[cols[x][c]].inv()))
+            for w, (c, x) in zip(words, edges)
+        ]
+    except ValueError as exc:
+        raise RuntimeError("Schreier matrix: %s" % exc) from exc
 
 
 @dataclass(frozen=True)
@@ -275,7 +293,8 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     Witness words are computed for the kept generators only.
     """
     tr, edges, relators = _reduced_schreier(t)
-    witnesses = tuple(GeneratorWord(_schreier_word(t, tr, c, x)) for c, x in edges)
+    cols = {x: t.column(x) for x in "SU"}
+    witnesses = tuple(GeneratorWord(_schreier_word(tr, c, x, cols[x][c])) for c, x in edges)
     return SubgroupPresentation(witnesses, tuple(relators))
 
 

@@ -6,6 +6,7 @@ import pytest
 from congsub import abelianize, cli, cosets, fingroups, rewriting
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
+from congsub.matgroup import Mat2
 
 
 def run(capsys, *argv):
@@ -270,6 +271,17 @@ def test_smith_rank_beyond_the_columns_is_an_internal_error(capsys, monkeypatch)
     code, out, err = run(capsys, "abelianize", "--method", "hall", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err.startswith("error: internal: Smith rank ")
+
+
+def test_faulty_schreier_matrix_is_an_internal_error(capsys, monkeypatch):
+    # a letter matrix of determinant 2: Mat2 rejects the first product built from it
+    bad = object.__new__(Mat2)
+    for name, value in zip("abcd", (2, 0, 0, 1)):
+        object.__setattr__(bad, name, value)
+    monkeypatch.setitem(rewriting._LETTER_MATRIX, "U", bad)
+    code, out, err = run(capsys, "abelianize", "--method", "hall", "--m", "6", "--n", "3")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "error: internal: Schreier matrix: determinant must be 1, got 2\n"
 
 
 def test_non_integral_rank_formula_is_an_internal_error(capsys, monkeypatch):

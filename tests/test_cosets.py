@@ -1,5 +1,6 @@
 import pytest
 
+from congsub import cosets
 from congsub.cosets import (
     CosetCeilingError,
     CosetTable,
@@ -61,7 +62,10 @@ def stabilizer_minimum_table(m, n):
     return CosetTable(cols["S"], cols["U"])
 
 
-@pytest.mark.parametrize("m,n", list(all_pairs(24)) + [(48, 1), (60, 2)])
+# (31, 31), (36, 36) and (48, 24) have packed keys above 2^16
+@pytest.mark.parametrize(
+    "m,n", list(all_pairs(24)) + [(31, 31), (36, 36), (48, 1), (48, 24), (60, 2)]
+)
 def test_row_keys_match_the_stabilizer_minimum(m, n):
     # compared outside the assert: a text diff of two large tables takes minutes
     same = congruence_table(m, n).serialize() == stabilizer_minimum_table(m, n).serialize()
@@ -80,6 +84,14 @@ def test_deserialize_rejects_garbage():
     # S action not an involution
     with pytest.raises(ValueError):
         deserialize_table("cosets 2\n0 1 0\n1 1 1\n")
+
+
+def test_trace_rejects_an_unknown_letter():
+    # a plain str skips GeneratorWord's alphabet check
+    t = congruence_table(3, 3)
+    assert t.trace(0, "SUu") == t.u2[t.u[t.s[0]]]
+    with pytest.raises(ValueError, match="unknown letter 'x'"):
+        t.trace(0, "SUx")
 
 
 def test_validate_rejects_intransitive():
@@ -126,6 +138,23 @@ def test_enumerate_agrees_with_oracle(m, n):
     words = [w for w, _ in schreier_generators(oracle)]
     t = enumerate_cosets(words)
     assert tables_isomorphic(t, oracle)
+
+
+def test_invalid_enumerated_table_is_an_internal_error(monkeypatch):
+    class Broken(cosets._Enumerator):
+        """Leaves a complete table whose S sends both cosets to coset 1."""
+
+        def __init__(self, ceiling):
+            super().__init__(ceiling)
+            self.table = [[1, 0, 0], [1, 1, 1]]
+            self.p = [0, 1]
+
+        def scan_and_fill(self, alpha, word):
+            pass
+
+    monkeypatch.setattr(cosets, "_Enumerator", Broken)
+    with pytest.raises(RuntimeError, match="^Todd-Coxeter table: actions are not permutations$"):
+        enumerate_cosets(["S", "U"])
 
 
 def test_ceiling():
