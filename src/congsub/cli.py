@@ -6,7 +6,8 @@ three methods, batch verification sweeps, and the level-(m, m) kernel
 cross-check.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 enumeration ceiling exceeded, 4 internal error (a broken invariant).
+3 resource bound exceeded (the enumeration ceiling or the group order
+cap), 4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except CosetCeilingError as exc:
+    except (CosetCeilingError, fingroups.GroupTooLargeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CEILING
     except RuntimeError as exc:

@@ -5,10 +5,12 @@ transversal, a subgroup presentation whose witnesses are the reduced
 Schreier generating set, and the free-product decomposition data (free
 rank plus the counts of order-2 and order-3 factors, read off from fixed
 points of the S and U actions).  The presentation is read off the S- and
-U-cycles in one scan: a non-tree edge occurs only in the rewritten S^2 or
-U^3 read around its own cycle, so Tietze elimination would drop the
-highest-numbered non-tree edge of each cycle of length 2 or 3 and keep
-each edge at a fixed point with the relator g^2 or g^3.  The relator
+U-cycles in one scan that walks each cycle once: a non-tree edge occurs
+only in the rewritten S^2 or U^3 read around its own cycle, so Tietze
+elimination would drop the highest-numbered non-tree edge of each cycle
+of length 2 or 3 and keep each edge at a fixed point with the relator g^2
+or g^3.  Transversal words are in normal form in Z/2 * Z/3, so a witness
+tr[c] x tr[x(c)]^-1 is reduced only where its parts meet.  The relator
 rewriter ``rewrite_relators`` and ``free_reduce`` work over any table of
 named permutation columns; the Aut+(F2) route uses them.
 """
@@ -27,7 +29,6 @@ from .matgroup import (
     GeneratorWord,
     PslElement,
     invert_psl,
-    normalize_psl,
 )
 
 _LETTER_MATRIX = {x: p.rep for x, p in _PSL_LETTERS.items()}
@@ -37,7 +38,10 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     """BFS Schreier transversal, one PSL word per coset, prefix-closed.
 
     Edges are explored in the fixed order S < U < U^2 so the result is
-    deterministic for a given table.
+    deterministic for a given table.  Each word is in normal form: it
+    never contains SS, UU, Uu, uU or uu, because in a table where S^2
+    and U^3 close, the coset each such pair would reach was discovered
+    by a shorter word.
     """
     words: list[str | None] = [None] * t.n
     words[0] = ""
@@ -53,30 +57,69 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     return tuple(words)  # type: ignore[arg-type]
 
 
+def _tree_flags(t: CosetTable, tr: tuple[str, ...]) -> dict[str, bytearray]:
+    """One flag per coset and generator ('S', 'U'): set where the pair
+    (coset, generator) is an edge of the transversal's tree.
+
+    The tree edge into coset d > 0 is read off the last letter x of its
+    word: it leaves x^-1(d), and one explored via the letter u (= U^-1)
+    consumes the pair (d, 'U').
+    """
+    in_s, in_u = bytearray(t.n), bytearray(t.n)
+    s, u2 = t.s, t.u2
+    for d in range(1, t.n):
+        x = tr[d][-1]
+        if x == "u":
+            in_u[d] = 1
+        elif x == "S":
+            in_s[s[d]] = 1
+        else:
+            in_u[u2[d]] = 1
+    return {"S": in_s, "U": in_u}
+
+
 def transversal_with_tree(
     t: CosetTable,
 ) -> tuple[tuple[str, ...], frozenset[tuple[int, str]]]:
     """Transversal plus the set of (coset, generator) pairs its tree uses.
 
-    A tree edge explored via the letter u (= U^-1) consumes the pair
-    (target, 'U'); every tree edge consumes exactly one pair, so the raw
-    Schreier generator count is 2*n - (n - 1).  The tree edge into coset
-    d is read off the last letter x of its word: it leaves x^-1(d).
+    Every tree edge consumes exactly one pair, so the raw Schreier
+    generator count is 2*n - (n - 1).
     """
     tr = transversal(t)
-    back = {x: t.column(_PSL_INVERSE[x]) for x in _PSL_INVERSE}
+    tree = _tree_flags(t, tr)
+    return tr, frozenset((c, x) for x, flags in tree.items() for c in range(t.n) if flags[c])
 
-    def edge(d: int) -> tuple[int, str]:
-        x = tr[d][-1]
-        return (d, "U") if x == "u" else (back[x][d], x)
 
-    return tr, frozenset(map(edge, range(1, t.n)))
+def _join(p: str, q: str) -> str:
+    """Normal form of the product of two PSL words in normal form.
+
+    Only the junction reduces: SS and Uu/uU cancel, and a UU or uu left
+    there merges into one letter, after which the neighbours of that
+    letter are S or nothing.  The normal form in Z/2 * Z/3 is unique, so
+    this equals ``normalize_psl(p + q)``.
+    """
+    i, j = len(p), 0
+    while i and j < len(q):
+        pair = p[i - 1] + q[j]
+        if pair in ("SS", "Uu", "uU"):
+            i -= 1
+            j += 1
+        elif pair in ("UU", "uu"):
+            return p[: i - 1] + ("u" if pair == "UU" else "U") + q[j + 1 :]
+        else:
+            break
+    return p[:i] + q[j:]
 
 
 def _schreier_word(tr, coset: int, letter: str, target: int) -> str:
     """The witness tr[coset] letter tr[target]^-1 of the edge from coset to
-    target = letter(coset), in normal form."""
-    return normalize_psl(tr[coset] + letter + invert_psl(tr[target]))
+    target = letter(coset), in normal form.
+
+    Transversal words and their inverses are in normal form, so the
+    product is reduced only at its two junctions.
+    """
+    return _join(_join(tr[coset], letter), invert_psl(tr[target]))
 
 
 def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]:
@@ -298,30 +341,50 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     return SubgroupPresentation(witnesses, tuple(relators))
 
 
+# marks of a coset whose x-cycle has been walked
+_SEEN, _DROPPED = 1, 2
+
+
 def _reduced_schreier(
     t: CosetTable,
 ) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]]]:
     """The transversal, the non-tree edges (coset, letter) that the
     presentation keeps as generators and its torsion relators over them.
 
-    A coset at which S^2 or U^3 does not close is a corrupted table and
-    raises ``RuntimeError``.
+    Cosets are scanned in increasing order, S before U.  Each x-cycle is
+    walked once, from its lowest coset: a cycle that closes there closes
+    at every coset on it.  The walk marks the cycle as seen and its
+    highest non-tree coset as dropped, so each later coset on it only
+    reads its two flags.  A coset at which S^2 or U^3 does not close is
+    a corrupted table and raises ``RuntimeError``.
     """
-    tr, tree = transversal_with_tree(t)
+    tr = transversal(t)
+    tree = _tree_flags(t, tr)
     edges: list[tuple[int, str]] = []
     squares: list[tuple[int, ...]] = []
     cubes: list[tuple[int, ...]] = []
+    walks = [
+        (x, t.column(x), order, tree[x], bytearray(t.n), torsion)
+        for x, order, torsion in (("S", 2, squares), ("U", 3, cubes))
+    ]
     for c in range(t.n):
-        for x, col, order, torsion in (("S", t.s, 2, squares), ("U", t.u, 3, cubes)):
-            cycle = [c]
-            for _ in range(order):
-                cycle.append(col[cycle[-1]])
-            if cycle[-1] != c:
-                raise RuntimeError("%s^%d does not close at coset %d" % (x, order, c))
-            if cycle[1] == c:
-                edges.append((c, x))
-                torsion.append((len(edges),) * order)
-            elif (c, x) not in tree and c != max(d for d in cycle if (d, x) not in tree):
+        for x, col, order, in_tree, mark, torsion in walks:
+            if not mark[c]:
+                if col[c] == c:
+                    edges.append((c, x))
+                    torsion.append((len(edges),) * order)
+                    continue
+                d, drop = c, -1
+                for _ in range(order):
+                    mark[d] = _SEEN
+                    if d > drop and not in_tree[d]:
+                        drop = d
+                    d = col[d]
+                if d != c:
+                    raise RuntimeError("%s^%d does not close at coset %d" % (x, order, c))
+                if drop >= 0:
+                    mark[drop] = _DROPPED
+            if mark[c] == _SEEN and not in_tree[c]:
                 edges.append((c, x))
     return tr, edges, squares + cubes
 

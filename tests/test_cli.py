@@ -1,11 +1,15 @@
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congsub import abelianize, cli, cosets, fingroups, rewriting
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
+from congsub.fingroups import GroupTooLargeError
 from congsub.matgroup import Mat2
 
 
@@ -236,6 +240,51 @@ def test_broken_group_builder_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "error: internal: associativity fails at (1, 1, 2)\n"
+
+
+def test_group_over_the_order_cap_is_a_resource_bound(capsys):
+    code, out, err = run(capsys, "stabilizer", "--group", "cyclic:500")
+    assert (code, out) == (cli.EXIT_CEILING, "")
+    assert err == "error: group of order 500 exceeds cap %d\n" % fingroups.MAX_GROUP_ORDER
+
+
+# each exception a command can raise, with its exit code and stderr prefix
+EXIT_TABLE = [
+    (cli.UsageError, cli.EXIT_USAGE, "error: "),
+    (CosetCeilingError, cli.EXIT_CEILING, "error: "),
+    (GroupTooLargeError, cli.EXIT_CEILING, "error: "),
+    (RuntimeError, cli.EXIT_INTERNAL, "error: internal: "),
+    (ValueError, cli.EXIT_USAGE, "error: "),
+]
+COMMANDS = {
+    "cmd_index": ["index"],
+    "cmd_table": ["table"],
+    "cmd_decompose": ["decompose"],
+    "cmd_rank": ["rank"],
+    "cmd_stabilizer": ["stabilizer"],
+    "cmd_abelianize": ["abelianize"],
+    "cmd_verify": ["verify", "index"],
+    "cmd_satoh": ["satoh"],
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(COMMANDS)),
+    st.sampled_from(EXIT_TABLE),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+def test_exit_code_table(command, row, message):
+    exc_type, code, prefix = row
+
+    def failing(args):
+        raise exc_type(message)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr(cli, command, failing)
+        assert main(COMMANDS[command]) == code
+    assert (out.getvalue(), err.getvalue()) == ("", prefix + message + "\n")
 
 
 def test_bad_permutation_point_is_a_usage_error(capsys):

@@ -12,10 +12,13 @@ from congsub.cosets import (
 from congsub.matgroup import (
     Mat2,
     PslElement,
+    invert_psl,
     matrix_to_word,
+    normalize_psl,
     word_to_matrix,
 )
 from congsub.rewriting import (
+    _reduced_schreier,
     abelianized_relation_matrix,
     exponent_sums,
     free_rank,
@@ -31,6 +34,39 @@ from congsub.rewriting import (
 # S^2 and U^3 as words of (generator, exponent) tokens
 S_SQUARED = (("S", 1),) * 2
 U_CUBED = (("U", 1),) * 3
+
+
+def reference_reduced_schreier(t):
+    """The reduced Schreier edges and relators by the per-coset rule: walk
+    each coset's S- and U-cycle from that coset, and keep a non-tree edge
+    unless its coset is the highest non-tree coset on the cycle."""
+    _, tree = transversal_with_tree(t)
+    edges, squares, cubes = [], [], []
+    for c in range(t.n):
+        for x, col, order, torsion in (("S", t.s, 2, squares), ("U", t.u, 3, cubes)):
+            cycle = [c]
+            for _ in range(order):
+                cycle.append(col[cycle[-1]])
+            if cycle[-1] != c:
+                raise RuntimeError("%s^%d does not close at coset %d" % (x, order, c))
+            if cycle[1] == c:
+                edges.append((c, x))
+                torsion.append((len(edges),) * order)
+            elif (c, x) not in tree and c != max(d for d in cycle if (d, x) not in tree):
+                edges.append((c, x))
+    return edges, squares + cubes
+
+
+def assert_matches_reference(t):
+    """The cycle walk keeps the reference's edges and relators, and each
+    witness, reduced at its junctions, is the full normal form."""
+    tr, edges, relators = _reduced_schreier(t)
+    assert (edges, relators) == reference_reduced_schreier(t)
+    p = subgroup_presentation(t)
+    assert p.relators == tuple(relators)
+    for w, (c, x) in zip(p.witnesses, edges):
+        d = t.column(x)[c]
+        assert w.letters == normalize_psl(tr[c] + x + invert_psl(tr[d]))
 
 
 def lower_triangular_table():
@@ -53,6 +89,13 @@ def test_transversal_prefix_closed():
         # each word reaches its own coset
         for c, w in enumerate(tr):
             assert t.trace(0, w) == c
+
+
+def test_reduced_schreier_matches_the_per_coset_rule():
+    pairs = [(m, n) for m in range(1, 25) for n in range(1, m + 1) if m % n == 0]
+    assert len(pairs) == 84
+    for m, n in pairs + [(31, 31), (48, 48)]:
+        assert_matches_reference(congruence_table(m, n))
 
 
 def test_tree_edge_count():
@@ -200,12 +243,20 @@ def test_presentation_has_kurosh_shape(t):
     words = [w for w, _ in schreier_generators(t)]
     assert all(t.trace(0, w) == 0 for w in words)
     assert tables_isomorphic(t, enumerate_cosets(words))
+    assert_matches_reference(t)
     # oracle: the unreduced Reidemeister-Schreier presentation, S^2 and U^3
     # rewritten from every coset, has the same abelianization
     _, tree = transversal_with_tree(t)
     edges, rels = rewrite_relators({"S": t.s, "U": t.u}, tree, (S_SQUARED, U_CUBED))
     unreduced = _sparse_smith(exponent_sums(rels), len(edges))
     assert unreduced == smith_invariants(abelianized_relation_matrix(p), p.n_generators)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables())
+def test_transversal_words_are_normal_forms(t):
+    # the witnesses are reduced only at their junctions because of this
+    assert all(normalize_psl(w) == w for w in transversal(t))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -222,6 +273,33 @@ def test_unclosed_relator_is_an_internal_error(build):
     # U swaps the two cosets, so U^3 does not close at coset 0
     with pytest.raises(RuntimeError, match="U\\^3 does not close at coset 0"):
         build(CosetTable((1, 0), (1, 0)))
+
+
+@st.composite
+def corrupt_tables(draw):
+    """Random S and U columns on at most 8 points, not necessarily
+    bijective, with every point reachable from 0 along a chain of S- or
+    U-steps, so that the transversal is defined."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    u = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    chain = [0] + draw(st.permutations(range(1, n)))
+    for a, b in zip(chain, chain[1:]):
+        (s if draw(st.booleans()) else u)[a] = b
+    return CosetTable(tuple(s), tuple(u))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(corrupt_tables())
+def test_closure_errors_match_the_per_coset_rule(t):
+    try:
+        expected = reference_reduced_schreier(t)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as info:
+            subgroup_presentation(t)
+        assert str(info.value) == str(exc)
+    else:
+        assert _reduced_schreier(t)[1:] == expected
 
 
 def test_free_presentations_keep_no_relator():
