@@ -6,8 +6,8 @@ three methods, batch verification sweeps, and the level-(m, m) kernel
 cross-check.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 resource bound exceeded (the enumeration ceiling or the group order
-cap), 4 internal error (a broken invariant).
+3 resource bound exceeded (the --ceiling on congruence tables or the
+group order cap), 4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -339,22 +339,33 @@ VERIFY_SUBJECTS = {
 def cmd_verify(args) -> int:
     results = VERIFY_SUBJECTS[args.subject](args)
     all_ok = all(ok for _, ok in results)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "subject": args.subject,
-                    "verified": all_ok,
-                    "checks": [{"check": label, "pass": ok} for label, ok in results],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for label, ok in results:
-            print("%s  %s" % ("PASS" if ok else "FAIL", label))
-        print("verify %s: %s" % (args.subject, "PASS" if all_ok else "FAIL"))
+    _emit(
+        args,
+        {
+            "subject": args.subject,
+            "verified": all_ok,
+            "checks": [{"check": label, "pass": ok} for label, ok in results],
+        },
+        ["%s  %s" % ("PASS" if ok else "FAIL", label) for label, ok in results]
+        + ["verify %s: %s" % (args.subject, "PASS" if all_ok else "FAIL")],
+    )
     return EXIT_OK if all_ok else EXIT_MISMATCH
+
+
+# every option any command reads, declared once: flag -> add_argument settings
+OPTIONS = {
+    "--m": dict(type=int, help="level of the upper row congruence"),
+    "--n": dict(type=int, help="level of the lower row congruence (n | m)"),
+    "--group": dict(help="group spec, e.g. cyclic:4 or perm:(1 2),(1 2 3)"),
+    "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="largest congruence table to "
+                      "build, in cosets; checked by the PSL index formula before building"),
+    "--sl": dict(action="store_true", help="report the matrix-level (SL) structure"),
+    "--method": dict(choices=("hall", "full", "image"), default="full"),
+    "subject": dict(choices=sorted(VERIFY_SUBJECTS)),
+    "--max-m": dict(type=int, default=8, help="upper bound of the (m, n) sweep"),
+    "--seed": dict(type=int, default=0, help="seed for randomized sweeps"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,39 +375,26 @@ def build_parser() -> argparse.ArgumentParser:
         "lifts in Aut+(F_2)",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--m", type=int, help="level of the upper row congruence")
-        sp.add_argument("--n", type=int, help="level of the lower row congruence (n | m)")
-        sp.add_argument("--group", help="group spec, e.g. cyclic:4 or perm:(1 2),(1 2 3)")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
-                        help="coset enumeration ceiling")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-        sp.add_argument("--max-m", dest="max_m", type=int, default=8,
-                        help="upper bound of the (m, n) sweep")
-
-    for name, fn, helptext in [
-        ("index", cmd_index, "index of Gamma(m,n) in SL2(Z) and PSL2(Z)"),
-        ("table", cmd_table, "coset table of PG(m,n) under the S/U action"),
-        ("decompose", cmd_decompose, "free product decomposition of PG(m,n)"),
-        ("rank", cmd_rank, "freeness and rank of PG(m,n)"),
-        ("stabilizer", cmd_stabilizer, "orbit and index data of the special stabilizer"),
-        ("abelianize", cmd_abelianize, "abelianization invariants"),
-        ("verify", cmd_verify, "batch verification sweeps"),
-        ("satoh", cmd_satoh, "cross-check the level-(m,m) kernel abelianization"),
+    # each command with the options it reads; --json goes on every one
+    bounded = ("--m", "--n", "--ceiling")
+    for name, fn, reads, helptext in [
+        ("index", cmd_index, ("--m", "--n"), "index of Gamma(m,n) in SL2(Z) and PSL2(Z)"),
+        ("table", cmd_table, bounded, "coset table of PG(m,n) under the S/U action"),
+        ("decompose", cmd_decompose, bounded, "free product decomposition of PG(m,n)"),
+        ("rank", cmd_rank, bounded + ("--sl",), "freeness and rank of PG(m,n)"),
+        ("stabilizer", cmd_stabilizer, ("--group",),
+         "orbit and index data of the special stabilizer"),
+        ("abelianize", cmd_abelianize, ("--method", "--group") + bounded,
+         "abelianization invariants"),
+        ("verify", cmd_verify, ("subject", "--max-m", "--seed"), "batch verification sweeps"),
+        ("satoh", cmd_satoh, ("--m", "--ceiling"),
+         "cross-check the level-(m,m) kernel abelianization"),
     ]:
-        sp = sub.add_parser(name, help=helptext)
-        common(sp)
+        # no abbreviations: verify's --m would otherwise be read as --max-m
+        sp = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        for option in reads + ("--json",):
+            sp.add_argument(option, **OPTIONS[option])
         sp.set_defaults(fn=fn)
-        if name == "rank":
-            sp.add_argument("--sl", action="store_true",
-                            help="report the matrix-level (SL) structure")
-        if name == "abelianize":
-            sp.add_argument("--method", choices=("hall", "full", "image"),
-                            default="full")
-        if name == "verify":
-            sp.add_argument("subject", choices=sorted(VERIFY_SUBJECTS))
     return p
 
 

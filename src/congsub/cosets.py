@@ -28,9 +28,10 @@ DEFAULT_CEILING = 10**6
 
 
 class CosetCeilingError(RuntimeError):
-    """Raised when coset enumeration exceeds its coset-count ceiling.
-
-    Indicates possible infinite index, or a ceiling set too low.
+    """Raised when a coset count passes its ceiling: in Todd-Coxeter
+    enumeration, which may mean infinite index or a ceiling set too low,
+    and in the CLI's ``--ceiling`` check of a congruence table's size,
+    made before the table is built.
     """
 
 
@@ -58,9 +59,6 @@ class CosetTable:
         if letter == "u":
             return self.u2
         raise ValueError("unknown letter %r" % letter)
-
-    def apply(self, coset: int, letter: str) -> int:
-        return self.column(letter)[coset]
 
     def trace(self, coset: int, word: GeneratorWord | str) -> int:
         letters = word.letters if isinstance(word, GeneratorWord) else word

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .cosets import CosetTable, orbit_table
+from .cosets import CosetTable, _checked, orbit_table
 
 MAX_GROUP_ORDER = 120
 
@@ -87,12 +87,33 @@ class FiniteGroup:
         return powers
 
 
-def _build(tag, elements, mul, namer):
-    """Cayley table from an explicit element list; verifies the axioms."""
-    if len(elements) > MAX_GROUP_ORDER:
+def _check_order(order: int, formula: str | None = None) -> None:
+    """Refuse a group over MAX_GROUP_ORDER; each builder calls this with
+    the order its parameters give, before any element is listed."""
+    if order > MAX_GROUP_ORDER:
         raise GroupTooLargeError(
-            "group of order %d exceeds cap %d" % (len(elements), MAX_GROUP_ORDER)
+            "group of order %s exceeds cap %d" % (formula or order, MAX_GROUP_ORDER)
         )
+
+
+def _check_factorial_order(s: int, halve: bool) -> None:
+    """_check_order for s! (s!/2 if ``halve``).
+
+    The factorial is multiplied only until it passes the cap: once k! does
+    for some k < s, s!/2 >= (k+1)!/2 >= k! does too, and the order is named
+    by its formula, so sym:1000000 costs nothing.
+    """
+    order = 1
+    for k in range(2, s + 1):
+        order *= k
+        if order > MAX_GROUP_ORDER and k < s:
+            _check_order(order, "%d!%s" % (s, "/2" if halve else ""))
+    _check_order(order // 2 if halve else order)
+
+
+def _build(tag, elements, mul, namer):
+    """Cayley table from an explicit element list, of at most
+    MAX_GROUP_ORDER elements; verifies the axioms."""
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
     table = [[0] * k for _ in range(k)]
@@ -143,6 +164,7 @@ def cyclic(m: int) -> FiniteGroup:
     """Z/m; element i is the residue i."""
     if m < 1:
         raise ValueError("m must be positive")
+    _check_order(m)
     return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m, str)
 
 
@@ -150,6 +172,7 @@ def abelian(m: int, n: int) -> FiniteGroup:
     """Z/m x Z/n; element (i, j) has index i*n + j (lexicographic)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    _check_order(m * n)
     elems = [(i, j) for i in range(m) for j in range(n)]
     return _build(
         "abelian:%d,%d" % (m, n),
@@ -163,6 +186,7 @@ def dihedral(r: int) -> FiniteGroup:
     """Dihedral group of order 2r: rotations first (f=0), then reflections."""
     if r < 1:
         raise ValueError("r must be positive")
+    _check_order(2 * r)
     elems = [(f, i) for f in (0, 1) for i in range(r)]
 
     # (f, i) is s^f r^i with r^i s = s r^-i
@@ -182,16 +206,19 @@ def _perm_mul(p, q):
 
 def symmetric(s: int) -> FiniteGroup:
     """Symmetric group on s points; permutation tuples, lexicographic."""
-    if not 1 <= s <= 5:
-        raise ValueError("s must be in 1..5")
+    if s < 1:
+        raise ValueError("s must be positive")
+    _check_factorial_order(s, halve=False)
     elems = sorted(itertools.permutations(range(s)))
     return _build("sym:%d" % s, elems, _perm_mul, str)
 
 
 def alternating(s: int) -> FiniteGroup:
-    """Alternating group on s points, s in 4..5."""
-    if not 3 <= s <= 5:
-        raise ValueError("s must be in 3..5")
+    """Alternating group on s points, s >= 3."""
+    if s < 3:
+        raise ValueError("s must be at least 3")
+    _check_factorial_order(s, halve=True)
+
     def parity(p):
         inv = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
         return inv % 2
@@ -202,6 +229,7 @@ def alternating(s: int) -> FiniteGroup:
 
 def quaternion() -> FiniteGroup:
     """Quaternion group of order 8; elements (sign, axis) for ±1,±i,±j,±k."""
+    _check_order(8)
     elems = [(s, a) for a in range(4) for s in (0, 1)]
     # basis multiplication: (axis, axis) -> (sign, axis)
     basis = {
@@ -407,11 +435,7 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
     states, columns, _ = orbit_table(
         key(*pi0), {name: (lambda p, f=f: key(*f(g, *p))) for name, f in LIFTS.items()}
     )
-    image = CosetTable(columns["S"], columns["U"])
-    try:
-        image.validate()
-    except ValueError as exc:
-        raise RuntimeError("image table of %s: %s" % (g.tag, exc)) from exc
+    image = _checked(CosetTable(columns["S"], columns["U"]), "image table of %s" % g.tag)
     x, y = pi0
     eps = 1 if (inverse[x], inverse[y]) in {(c[x], c[y]) for c in inner} else 2
     aut_plus = len(inner) * image.n * eps

@@ -96,6 +96,7 @@ PSL_U = PslElement(U)
 # PSL words use the letters 'S', 'U' and 'u' (= U^2 = U^-1).
 _PSL_LETTERS = {"S": PSL_S, "U": PSL_U, "u": PSL_U * PSL_U}
 _PSL_INVERSE = {"S": "S", "U": "u", "u": "U"}
+_PSL_INVERT = str.maketrans(_PSL_INVERSE)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def normalize_psl(letters: str) -> str:
 
 
 def invert_psl(letters: str) -> str:
-    return "".join(_PSL_INVERSE[x] for x in reversed(letters))
+    return letters[::-1].translate(_PSL_INVERT)
 
 
 def word_to_matrix(w: GeneratorWord | str) -> PslElement:

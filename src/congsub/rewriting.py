@@ -41,7 +41,8 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     deterministic for a given table.  Each word is in normal form: it
     never contains SS, UU, Uu, uU or uu, because in a table where S^2
     and U^3 close, the coset each such pair would reach was discovered
-    by a shorter word.
+    by a shorter word.  A coset that no word reaches is a corrupted table
+    and raises ``RuntimeError``.
     """
     words: list[str | None] = [None] * t.n
     words[0] = ""
@@ -54,6 +55,8 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
             if words[d] is None:
                 words[d] = words[c] + letter
                 queue.append(d)
+    if None in words:
+        raise RuntimeError("coset %d is not reachable from coset 0" % words.index(None))
     return tuple(words)  # type: ignore[arg-type]
 
 

@@ -1,7 +1,13 @@
 import dataclasses
+import importlib
 import io
 import json
+import re
+import shlex
+import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,3 +356,94 @@ def test_generator_outside_the_subgroup_is_an_internal_error(capsys, monkeypatch
     code, out, err = run(capsys, *argv)
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err.startswith("error: internal: ") and "does not lift into the subgroup" in err
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [("cyclic:121", "121"), ("abelian:11,11", "121"), ("dihedral:61", "122"),
+     ("sym:6", "720"), ("alt:6", "360"), ("sym:1000000", "1000000!")],
+)
+def test_group_order_is_checked_before_any_element_is_listed(capsys, monkeypatch, spec, order):
+    def never(*args):
+        raise AssertionError("_build called past the order cap")
+
+    monkeypatch.setattr(fingroups, "_build", never)
+    code, out, err = run(capsys, "stabilizer", "--group", spec)
+    assert (code, out) == (cli.EXIT_CEILING, "")
+    assert err == "error: group of order %s exceeds cap %d\n" % (order, fingroups.MAX_GROUP_ORDER)
+
+
+# a cheap call of each command that exits 0, and the options it does not read,
+# each with a value that the command would have had to ignore
+CALLS = {
+    "index": ["index", "--m", "4", "--n", "2"],
+    "table": ["table", "--m", "2", "--n", "1"],
+    "decompose": ["decompose", "--m", "3", "--n", "1"],
+    "rank": ["rank", "--m", "2", "--n", "2"],
+    "stabilizer": ["stabilizer", "--group", "cyclic:2"],
+    "abelianize": ["abelianize", "--group", "cyclic:2", "--method", "full"],
+    "verify": ["verify", "index", "--max-m", "4"],
+    "satoh": ["satoh", "--m", "3"],
+}
+UNREAD = {
+    "index": ["--group", "--ceiling", "--seed", "--max-m"],
+    "table": ["--group", "--seed", "--max-m"],
+    "decompose": ["--group", "--seed", "--max-m"],
+    "rank": ["--group", "--seed", "--max-m"],
+    "stabilizer": ["--m", "--n", "--ceiling", "--seed", "--max-m"],
+    "abelianize": ["--seed", "--max-m"],
+    "verify": ["--m", "--n", "--group", "--ceiling"],
+    "satoh": ["--n", "--group", "--seed", "--max-m"],
+}
+VALUES = {"--m": "4", "--n": "2", "--group": "cyclic:2", "--ceiling": "1", "--seed": "1",
+          "--max-m": "4"}
+
+
+@pytest.mark.parametrize(
+    "command, option", [(c, o) for c, options in UNREAD.items() for o in options]
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, command, option):
+    with pytest.raises(SystemExit) as info:
+        main(CALLS[command] + [option, VALUES[option]])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (cli.EXIT_USAGE, "")
+    assert "unrecognized arguments: %s %s" % (option, VALUES[option]) in out.err
+
+
+def test_every_command_lists_its_calls_and_unread_options():
+    assert sorted(CALLS) == sorted(UNREAD) == sorted(COMMANDS[c][0] for c in COMMANDS)
+    for command, argv in CALLS.items():
+        assert main(argv) == cli.EXIT_OK
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _golden_argvs():
+    return [case["argv"] for case in json.loads((ROOT / "tests/cli_golden.json").read_text())]
+
+
+def _readme_argvs():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [shlex.split(line.partition("#")[0])[1:] for line in block.group(1).splitlines()]
+
+
+def _sweep_argvs():
+    # the benchmark's sweep jobs, run against a stand-in cli that records argv
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    bench_jobs = importlib.import_module("bench_jobs")
+    argvs = []
+    api = types.SimpleNamespace(cli=types.SimpleNamespace(main=lambda argv: argvs.append(argv)))
+    for job in bench_jobs.sweep_jobs(0, api):
+        job.run(api)
+    return argvs
+
+
+@pytest.mark.parametrize("source", [_golden_argvs, _readme_argvs, _sweep_argvs])
+def test_documented_and_benchmarked_calls_parse(source):
+    argvs = source()
+    assert argvs
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]

@@ -67,6 +67,19 @@ def test_word_inverse():
     assert invert_psl("SU") == "uS"
 
 
+def _invert_psl_reference(letters):
+    # letter by letter through the inverse map, the form invert_psl had
+    # before it moved to str.translate
+    return "".join({"S": "S", "U": "u", "u": "U"}[x] for x in reversed(letters))
+
+
+def test_invert_psl_matches_the_letterwise_reference():
+    rng = random.Random(11)
+    for _ in range(2000):
+        w = "".join(rng.choice("SUu") for _ in range(rng.randint(0, 40)))
+        assert invert_psl(w) == _invert_psl_reference(w)
+
+
 def test_word_alphabet_checked():
     with pytest.raises(ValueError):
         GeneratorWord("ST")

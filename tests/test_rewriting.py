@@ -306,3 +306,10 @@ def test_free_presentations_keep_no_relator():
         p = subgroup_presentation(t)
         assert p.relators == ()
         assert p.n_generators == free_rank(t)
+
+
+@pytest.mark.parametrize("build", [subgroup_presentation, schreier_generators])
+def test_unreachable_coset_is_an_internal_error(build):
+    # both cosets are fixed by S and U, so coset 1 is not reached from 0
+    with pytest.raises(RuntimeError, match="^coset 1 is not reachable from coset 0$"):
+        build(CosetTable((0, 1), (0, 1)))
