@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .cosets import orbit_table
-from .fingroups import Epimorphism, FiniteGroup
+from .fingroups import Epimorphism, FiniteGroup, _check_epimorphism
 from .rewriting import exponent_sums, free_reduce, rewrite_relators
 
 # --- free group words on x (=1) and y (=2); negatives are inverses ---
@@ -238,8 +238,7 @@ def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> PairTable:
     this action is the special stabilizer itself; its index is
     ``orbit_stabilizer(g, pi0).aut_plus_index``.
     """
-    if len(g.closure((pi0.gx, pi0.gy))) != g.order:
-        raise ValueError("pi0 is not an epimorphism onto the group")
+    _check_epimorphism(g, pi0)
     states, forward, tree = orbit_table(
         (pi0.gx, pi0.gy), {name: _state_action(g, name) for name in GENS}
     )

@@ -6,8 +6,8 @@ three methods, batch verification sweeps, and the level-(m, m) kernel
 cross-check.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 resource bound exceeded (the --ceiling on congruence tables or the
-group order cap), 4 internal error (a broken invariant).
+3 resource bound exceeded (a congruence table over --ceiling, default
+10^6, cosets, or the group order cap), 4 internal error (a broken invariant).
 """
 from __future__ import annotations
 
@@ -47,14 +47,13 @@ class UsageError(ValueError):
     pass
 
 
-def _check_ceiling(args, m: int, n: int) -> None:
-    """Refuse a congruence table of more than --ceiling cosets before
-    building it: its size is exactly the PSL index."""
+def _check_ceiling(ceiling: int | None, m: int, n: int) -> None:
+    """Refuse a congruence table of more than ``ceiling`` cosets (None:
+    DEFAULT_CEILING) before building it: its size is exactly the PSL index."""
+    ceiling = DEFAULT_CEILING if ceiling is None else ceiling
     size = psl_index_formula(m, n)
-    if size > args.ceiling:
-        raise CosetCeilingError(
-            "table needs %d cosets, ceiling is %d" % (size, args.ceiling)
-        )
+    if size > ceiling:
+        raise CosetCeilingError("table needs %d cosets, ceiling is %d" % (size, ceiling))
 
 
 def cmd_index(args) -> int:
@@ -74,7 +73,7 @@ def cmd_index(args) -> int:
 
 def cmd_table(args) -> int:
     _require(args, "m", "n")
-    _check_ceiling(args, args.m, args.n)
+    _check_ceiling(args.ceiling, args.m, args.n)
     t = congruence_table(args.m, args.n)
     text = t.serialize()
     _emit(
@@ -87,7 +86,7 @@ def cmd_table(args) -> int:
 
 def cmd_decompose(args) -> int:
     _require(args, "m", "n")
-    _check_ceiling(args, args.m, args.n)
+    _check_ceiling(args.ceiling, args.m, args.n)
     t = congruence_table(args.m, args.n)
     d = rewriting.kurosh_decompose(t)
     lines = [
@@ -114,7 +113,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_rank(args) -> int:
     _require(args, "m", "n")
-    _check_ceiling(args, args.m, args.n)
+    _check_ceiling(args.ceiling, args.m, args.n)
     if args.sl:
         s = abelianize.sl_level_structure(args.m, args.n)
         _emit(
@@ -181,11 +180,19 @@ def cmd_stabilizer(args) -> int:
     return EXIT_OK
 
 
+# the options each abelianize method reads; giving it another is a usage error
+METHOD_READS = {"hall": ("--m", "--n", "--ceiling"), "full": ("--group",), "image": ("--group",)}
+
+
 def cmd_abelianize(args) -> int:
     method = args.method
+    unread = [o for o in ("--m", "--n", "--ceiling", "--group")
+              if o not in METHOD_READS[method] and getattr(args, o[2:]) is not None]
+    if unread:
+        raise UsageError("--method %s does not read %s" % (method, ", ".join(unread)))
     if method == "hall":
         _require(args, "m", "n")
-        _check_ceiling(args, args.m, args.n)
+        _check_ceiling(args.ceiling, args.m, args.n)
         inv = abelianize.hall_abelianization(args.m, args.n)
         tag = "Gamma+(Z/%d x Z/%d)" % (args.m, args.n)
     else:
@@ -207,7 +214,7 @@ def cmd_abelianize(args) -> int:
 
 def cmd_satoh(args) -> int:
     _require(args, "m")
-    _check_ceiling(args, args.m, args.m)
+    _check_ceiling(args.ceiling, args.m, args.m)
     ok, inv = abelianize.satoh_crosscheck(args.m)
     _emit(
         args,
@@ -220,16 +227,24 @@ def cmd_satoh(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _pairs_up_to(max_m: int):
+def _sweep_pairs(max_m: int, free_only: bool = False) -> list[tuple[int, int]]:
+    """The pairs (m, n), n | m, 2 <= m <= max_m, of a verify sweep; with
+    ``free_only`` those where PG(m, n) is free.  An empty sweep is a usage
+    error, and a table over DEFAULT_CEILING is refused before any is built."""
+    pairs = []
     for m in range(2, max_m + 1):
         for n in range(1, m + 1):
-            if m % n == 0:
-                yield m, n
+            if m % n == 0 and not (free_only and (m < 3 or (m, n) == (3, 1))):
+                _check_ceiling(None, m, n)
+                pairs.append((m, n))
+    if not pairs:
+        raise UsageError("--max-m %d leaves no (m, n) pair to check" % max_m)
+    return pairs
 
 
 def verify_index(args) -> list[tuple[str, bool]]:
     results = []
-    for m, n in _pairs_up_to(args.max_m):
+    for m, n in _sweep_pairs(args.max_m):
         t = congruence_table(m, n)
         ok = t.n == psl_index_formula(m, n)
         results.append(("index (%d,%d): formula %d, table %d" % (m, n, psl_index_formula(m, n), t.n), ok))
@@ -238,9 +253,7 @@ def verify_index(args) -> list[tuple[str, bool]]:
 
 def verify_abelianization(args) -> list[tuple[str, bool]]:
     results = []
-    for m, n in _pairs_up_to(args.max_m):
-        if m < 3 or (m, n) == (3, 1):
-            continue
+    for m, n in _sweep_pairs(args.max_m, free_only=True):
         got = abelianize.hall_abelianization(m, n)
         want = abelianize.predicted_invariants(m, n)
         results.append(
@@ -258,7 +271,7 @@ def verify_decomposition(args) -> list[tuple[str, bool]]:
     checks on k raise RuntimeError (exit 4).
     """
     results = []
-    for m, n in _pairs_up_to(args.max_m):
+    for m, n in _sweep_pairs(args.max_m):
         t = congruence_table(m, n)
         d = rewriting.kurosh_decompose(t)
         # Euler characteristic identity: 6k = 6 + i - 3*f2 - 4*f3
@@ -357,8 +370,8 @@ OPTIONS = {
     "--m": dict(type=int, help="level of the upper row congruence"),
     "--n": dict(type=int, help="level of the lower row congruence (n | m)"),
     "--group": dict(help="group spec, e.g. cyclic:4 or perm:(1 2),(1 2 3)"),
-    "--ceiling": dict(type=int, default=DEFAULT_CEILING, help="largest congruence table to "
-                      "build, in cosets; checked by the PSL index formula before building"),
+    "--ceiling": dict(type=int, help="largest congruence table to build, in cosets "
+                      "(default 10^6); checked by the PSL index formula before building"),
     "--sl": dict(action="store_true", help="report the matrix-level (SL) structure"),
     "--method": dict(choices=("hall", "full", "image"), default="full"),
     "subject": dict(choices=sorted(VERIFY_SUBJECTS)),

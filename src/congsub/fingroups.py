@@ -33,7 +33,6 @@ class FiniteGroup:
     tag: str
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
-    names: tuple[str, ...]
 
     @property
     def order(self) -> int:
@@ -74,9 +73,6 @@ class FiniteGroup:
     def is_perfect(self) -> bool:
         return len(self.commutator_subgroup()) == self.order
 
-    def element_order(self, x: int) -> int:
-        return len(self._powers(x))
-
     def _powers(self, x: int) -> list[int]:
         """The cyclic subgroup <x>, as 1, x, x^2, ... in order."""
         table = self.table
@@ -111,7 +107,7 @@ def _check_factorial_order(s: int, halve: bool) -> None:
     _check_order(order // 2 if halve else order)
 
 
-def _build(tag, elements, mul, namer):
+def _build(tag, elements, mul):
     """Cayley table from an explicit element list, of at most
     MAX_GROUP_ORDER elements; verifies the axioms."""
     index = {e: i for i, e in enumerate(elements)}
@@ -125,12 +121,7 @@ def _build(tag, elements, mul, namer):
         if 0 not in row:
             raise RuntimeError("element %d has no inverse" % i)
         inverse.append(row.index(0))
-    g = FiniteGroup(
-        tag,
-        tuple(tuple(r) for r in table),
-        tuple(inverse),
-        tuple(namer(e) for e in elements),
-    )
+    g = FiniteGroup(tag, tuple(tuple(r) for r in table), tuple(inverse))
     _check_axioms(g)
     return g
 
@@ -165,7 +156,7 @@ def cyclic(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("m must be positive")
     _check_order(m)
-    return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m, str)
+    return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m)
 
 
 def abelian(m: int, n: int) -> FiniteGroup:
@@ -175,10 +166,7 @@ def abelian(m: int, n: int) -> FiniteGroup:
     _check_order(m * n)
     elems = [(i, j) for i in range(m) for j in range(n)]
     return _build(
-        "abelian:%d,%d" % (m, n),
-        elems,
-        lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n),
-        lambda e: "(%d,%d)" % e,
+        "abelian:%d,%d" % (m, n), elems, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n)
     )
 
 
@@ -195,9 +183,7 @@ def dihedral(r: int) -> FiniteGroup:
         f2, i2 = y
         return ((f1 + f2) % 2, ((i1 if f2 == 0 else -i1) + i2) % r)
 
-    return _build(
-        "dihedral:%d" % r, elems, mul2, lambda e: "sr^%d" % e[1] if e[0] else "r^%d" % e[1]
-    )
+    return _build("dihedral:%d" % r, elems, mul2)
 
 
 def _perm_mul(p, q):
@@ -210,7 +196,7 @@ def symmetric(s: int) -> FiniteGroup:
         raise ValueError("s must be positive")
     _check_factorial_order(s, halve=False)
     elems = sorted(itertools.permutations(range(s)))
-    return _build("sym:%d" % s, elems, _perm_mul, str)
+    return _build("sym:%d" % s, elems, _perm_mul)
 
 
 def alternating(s: int) -> FiniteGroup:
@@ -224,7 +210,7 @@ def alternating(s: int) -> FiniteGroup:
         return inv % 2
 
     elems = sorted(p for p in itertools.permutations(range(s)) if parity(p) == 0)
-    return _build("alt:%d" % s, elems, _perm_mul, str)
+    return _build("alt:%d" % s, elems, _perm_mul)
 
 
 def quaternion() -> FiniteGroup:
@@ -244,13 +230,7 @@ def quaternion() -> FiniteGroup:
         s, a = basis[(x[1], y[1])]
         return ((x[0] + y[0] + s) % 2, a)
 
-    names = {0: "1", 1: "i", 2: "j", 3: "k"}
-    return _build(
-        "quaternion",
-        elems,
-        mul,
-        lambda e: ("-" if e[0] else "") + names[e[1]],
-    )
+    return _build("quaternion", elems, mul)
 
 
 def from_permutations(cycle_specs: str) -> FiniteGroup:
@@ -293,7 +273,7 @@ def from_permutations(cycle_specs: str) -> FiniteGroup:
                 seen.add(r)
                 queue.append(r)
     elems = [ident] + sorted(seen - {ident})
-    return _build("perm:%s" % cycle_specs, elems, _perm_mul, str)
+    return _build("perm:%s" % cycle_specs, elems, _perm_mul)
 
 
 def _ints(arg: str, count: int) -> list[int]:
@@ -330,6 +310,12 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 class Epimorphism(NamedTuple):
     gx: int
     gy: int
+
+
+def _check_epimorphism(g: FiniteGroup, pi0: Epimorphism) -> None:
+    """Refuse a pair that does not generate g: bad input, a ValueError."""
+    if len(g.closure((pi0.gx, pi0.gy))) != g.order:
+        raise ValueError("pi0 is not an epimorphism onto the group")
 
 
 def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
@@ -422,8 +408,7 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
     determinant -1, and the Aut(F2)-orbit is the Aut+(F2)-orbit exactly
     when the swapped pair's class is in the orbit.
     """
-    if len(g.closure((pi0.gx, pi0.gy))) != g.order:
-        raise ValueError("pi0 is not an epimorphism onto the group")
+    _check_epimorphism(g, pi0)
     table, inverse = g.table, g.inverse
     # x -> a x a^-1, one map per element of G/Z(G)
     inner = {tuple(table[ax][inverse[a]] for ax in row) for a, row in enumerate(table)}

@@ -110,18 +110,6 @@ class GeneratorWord:
         if bad:
             raise ValueError("letters %r not in the PSL alphabet" % bad)
 
-    def __len__(self):
-        return len(self.letters)
-
-    def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
-        return GeneratorWord(self.letters + other.letters)
-
-    def normalize(self) -> "GeneratorWord":
-        return GeneratorWord(normalize_psl(self.letters))
-
-    def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(invert_psl(self.letters))
-
 
 def normalize_psl(letters: str) -> str:
     """Normal form in the free product <S | S^2> * <U | U^3>.

@@ -81,19 +81,6 @@ def _tree_flags(t: CosetTable, tr: tuple[str, ...]) -> dict[str, bytearray]:
     return {"S": in_s, "U": in_u}
 
 
-def transversal_with_tree(
-    t: CosetTable,
-) -> tuple[tuple[str, ...], frozenset[tuple[int, str]]]:
-    """Transversal plus the set of (coset, generator) pairs its tree uses.
-
-    Every tree edge consumes exactly one pair, so the raw Schreier
-    generator count is 2*n - (n - 1).
-    """
-    tr = transversal(t)
-    tree = _tree_flags(t, tr)
-    return tr, frozenset((c, x) for x, flags in tree.items() for c in range(t.n) if flags[c])
-
-
 def _join(p: str, q: str) -> str:
     """Normal form of the product of two PSL words in normal form.
 
@@ -236,18 +223,6 @@ class SubgroupPresentation:
     @property
     def n_generators(self) -> int:
         return len(self.witnesses)
-
-    def serialize(self) -> str:
-        lines = ["gens %d" % self.n_generators]
-        lines.extend(w.letters for w in self.witnesses)
-        lines.append("relators %d" % len(self.relators))
-        for rel in self.relators:
-            lines.append(
-                " ".join(
-                    "g%d" % (k - 1) if k > 0 else "g%d^-1" % (-k - 1) for k in rel
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def free_reduce(word: Iterable[int]) -> tuple[int, ...]:

@@ -27,7 +27,9 @@ from congsub.fingroups import (
     alternating,
     cyclic,
     dihedral,
+    Epimorphism,
     epi_set,
+    orbit_stabilizer,
     parse_group_spec,
     quaternion,
     symmetric,
@@ -355,3 +357,10 @@ def test_satoh():
         assert ok and inv == hall_abelianization(m, m)
     with pytest.raises(ValueError):
         satoh_crosscheck(2)
+
+
+@pytest.mark.parametrize("route", [full_abelianization, image_abelianization, orbit_stabilizer])
+def test_a_pair_that_does_not_generate_is_refused(route):
+    # (2, 2) generates the subgroup of order 2 of Z/4
+    with pytest.raises(ValueError, match="^pi0 is not an epimorphism onto the group$"):
+        route(cyclic(4), Epimorphism(2, 2))

@@ -201,6 +201,81 @@ def test_ceiling_is_checked_before_any_table_is_built(capsys, monkeypatch, argv)
     assert err.startswith("error: table needs ") and err.endswith(" cosets, ceiling is 5\n")
 
 
+def _never_build(monkeypatch):
+    """Make every group or congruence table build fail; returns the list of
+    the builds that were attempted."""
+    built = []
+
+    def never(*args):
+        built.append(args)
+        raise AssertionError("built %r" % (args,))
+
+    for module in (cli, abelianize, cosets):
+        monkeypatch.setattr(module, "congruence_table", never)
+    monkeypatch.setattr(fingroups, "parse_group_spec", never)
+    return built
+
+
+ABELIANIZE_CALLS = {
+    "hall": ["abelianize", "--method", "hall", "--m", "4", "--n", "2"],
+    "full": ["abelianize", "--method", "full", "--group", "cyclic:2"],
+    "image": ["abelianize", "--method", "image", "--group", "cyclic:2"],
+}
+
+
+@pytest.mark.parametrize(
+    "method, option",
+    [(m, o) for m in ("full", "image") for o in ("--m", "--n", "--ceiling")] + [("hall", "--group")],
+)
+def test_an_option_the_method_does_not_read_is_a_usage_error(capsys, monkeypatch, method, option):
+    built = _never_build(monkeypatch)
+    value = {"--m": "4", "--n": "2", "--ceiling": "1", "--group": "cyclic:2"}[option]
+    code, out, err = run(capsys, *ABELIANIZE_CALLS[method], option, value)
+    assert (code, out, built) == (cli.EXIT_USAGE, "", [])
+    assert err == "error: --method %s does not read %s\n" % (method, option)
+
+
+def test_the_default_method_reads_only_the_group(capsys, monkeypatch):
+    built = _never_build(monkeypatch)
+    code, out, err = run(capsys, "abelianize", "--m", "4", "--n", "4")
+    assert (code, out, built) == (cli.EXIT_USAGE, "", [])
+    assert err == "error: --method full does not read --m, --n\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "index", "--max-m", "1"],
+        ["verify", "abelianization", "--max-m", "2"],
+        ["verify", "decomposition", "--max-m", "-3"],
+    ],
+)
+def test_an_empty_verify_sweep_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --max-m %s leaves no (m, n) pair to check\n" % argv[-1]
+
+
+@pytest.mark.parametrize("subject", ["index", "abelianization", "decomposition"])
+def test_verify_sweep_over_the_ceiling_is_refused_before_any_table_is_built(
+    capsys, monkeypatch, subject
+):
+    # (127, 127) needs 1 024 128 cosets
+    built = _never_build(monkeypatch)
+    code, out, err = run(capsys, "verify", subject, "--max-m", "127")
+    assert (code, out, built) == (cli.EXIT_CEILING, "", [])
+    assert err == "error: table needs 1024128 cosets, ceiling is %d\n" % cli.DEFAULT_CEILING
+
+
+def test_verify_sweep_up_to_the_ceiling_is_listed():
+    # listing builds no table; the largest one of --max-m 126 is (125, 125)
+    pairs = cli._sweep_pairs(126)
+    sizes = {pair: cli.psl_index_formula(*pair) for pair in pairs}
+    assert max(sizes, key=sizes.get) == (125, 125) and sizes[125, 125] == 937500
+    assert cli._sweep_pairs(4) == [(2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 2), (4, 4)]
+    assert cli._sweep_pairs(4, free_only=True) == [(3, 3), (4, 1), (4, 2), (4, 4)]
+
+
 def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
     real = cosets.orbit_table
 
@@ -239,7 +314,7 @@ def test_broken_group_builder_is_an_internal_error(capsys, monkeypatch):
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
     def broken(arg):
-        return fingroups._build("cyclic:5", list(range(5)), lambda x, y: loop[x][y], str)
+        return fingroups._build("cyclic:5", list(range(5)), lambda x, y: loop[x][y])
 
     monkeypatch.setitem(fingroups._SPEC_BUILDERS, "cyclic", broken)
     code, out, err = run(capsys, "stabilizer", "--group", "cyclic:5")

@@ -51,10 +51,10 @@ def test_order_cap():
 
 def test_element_orders():
     q = quaternion()
-    orders = sorted(q.element_order(x) for x in range(q.order))
+    orders = sorted(len(q._powers(x)) for x in range(q.order))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
     d = dihedral(4)
-    assert sorted(d.element_order(x) for x in range(d.order)) == [1, 2, 2, 2, 2, 2, 4, 4]
+    assert sorted(len(d._powers(x)) for x in range(d.order)) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
 def test_perfect_detection():
@@ -327,7 +327,7 @@ LOOP5 = (
 
 
 def _from_table(table):
-    return _build("planted", list(range(len(table))), lambda x, y: table[x][y], str)
+    return _build("planted", list(range(len(table))), lambda x, y: table[x][y])
 
 
 def _first_non_associative_triple(table):
