@@ -17,7 +17,7 @@ Three routes produce invariants of finitely generated abelian groups:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from math import gcd
 
@@ -34,23 +34,22 @@ from .matgroup import (
 )
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "torsion free_rank")):
     """Canonical form of a finitely generated abelian group.
 
     torsion is the chain of invariant factors d1 | d2 | ... (each >= 2);
     free_rank counts the infinite cyclic summands.
     """
 
-    torsion: tuple[int, ...]
-    free_rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(d < 2 for d in self.torsion) or self.free_rank < 0:
+    def __new__(cls, torsion: tuple[int, ...], free_rank: int):
+        if any(d < 2 for d in torsion) or free_rank < 0:
             raise ValueError("invalid invariants")
-        for d1, d2 in zip(self.torsion, self.torsion[1:]):
+        for d1, d2 in zip(torsion, torsion[1:]):
             if d2 % d1 != 0:
                 raise ValueError("torsion is not a divisibility chain")
+        return super().__new__(cls, torsion, free_rank)
 
     def __str__(self):
         parts = ["Z/%d" % d for d in self.torsion]
@@ -93,8 +92,12 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
     gets a new version and is pushed once more, and entries of an older
     version are skipped.  Columns that no live row holds join the free
     rank, and only the residue (live rows x columns that still occur)
-    goes to ``_dense_smith_diagonal``.  The rows are consumed.
+    goes to ``_dense_smith_diagonal``.  The rows are consumed.  Every
+    builder of sparse rows drops zeros, so a stored 0 is an internal
+    fault (RuntimeError).
     """
+    if not all(map(all, map(dict.values, rows))):
+        raise RuntimeError("a sparse row stores a zero")
     holders: dict[int, set[int]] = {}  # column -> indices of the rows holding it
     for i, r in enumerate(rows):
         for j in r:
@@ -326,11 +329,7 @@ class PerfectGroupError(ValueError):
     """The infinite-abelianization certificate does not cover perfect groups."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    image_invariants: AbelianInvariants
-    free_rank: int
-    certified: bool
+Verdict = namedtuple("Verdict", "image_invariants free_rank certified")
 
 
 def infinite_abelianization_verdict(
@@ -351,16 +350,13 @@ def infinite_abelianization_verdict(
     return Verdict(inv, inv.free_rank, inv.free_rank >= 1)
 
 
-@dataclass(frozen=True)
-class SlStructure:
+class SlStructure(namedtuple(
+    "SlStructure", "contains_minus_identity is_free structure free_rank abelianization"
+)):
     """Structure of the congruence subgroup at the matrix (not projective)
     level, tracking the central element of order 2 when present."""
 
-    contains_minus_identity: bool
-    is_free: bool
-    structure: str
-    free_rank: int
-    abelianization: AbelianInvariants
+    __slots__ = ()
 
 
 def sl_level_structure(m: int, n: int) -> SlStructure:

@@ -21,7 +21,7 @@ Generators of the presentation, all of determinant +1:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 
@@ -158,10 +158,7 @@ def _pow(name: str, k: int) -> TokenWord:
     return ((name, e),) * abs(k)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[TokenWord, ...]
+Presentation = namedtuple("Presentation", "relators")
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +191,7 @@ def presentation() -> Presentation:
     for rel in relators:
         if evaluate(rel) != AUT_ID:
             raise RuntimeError("unsound relator: %r" % (rel,))
-    return Presentation(GENS, tuple(relators))
+    return Presentation(tuple(relators))
 
 
 # --- action of the presentation generators on generating pairs ---
@@ -219,16 +216,14 @@ def _state_action(g: FiniteGroup, name: str):
     return step
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(namedtuple("PairTable", "n forward tree")):
     """Coset table of the special stabilizer inside Aut+(F2): states are
     the generating pairs (images of x and y) in the Aut+(F2)-orbit of the
     base pair, columns the presentation generators acting by
-    precomposition."""
+    precomposition.  forward maps each generator to its column, and tree
+    is the frozenset of non-root states' discovery edges (state, gen)."""
 
-    n: int
-    forward: dict[str, tuple[int, ...]]
-    tree: frozenset[tuple[int, str]]  # non-root states' discovery edges (state, gen)
+    __slots__ = ()
 
 
 def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> PairTable:

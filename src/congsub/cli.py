@@ -47,6 +47,15 @@ class UsageError(ValueError):
     pass
 
 
+def _refuse_unread(args, command: str, options, reads) -> None:
+    """A usage error if any of ``options`` that ``command`` does not read
+    was given; options left out are None."""
+    unread = [o for o in options
+              if o not in reads and getattr(args, o[2:].replace("-", "_")) is not None]
+    if unread:
+        raise UsageError("%s does not read %s" % (command, ", ".join(unread)))
+
+
 def _check_ceiling(ceiling: int | None, m: int, n: int) -> None:
     """Refuse a congruence table of more than ``ceiling`` cosets (None:
     DEFAULT_CEILING) before building it: its size is exactly the PSL index."""
@@ -186,10 +195,8 @@ METHOD_READS = {"hall": ("--m", "--n", "--ceiling"), "full": ("--group",), "imag
 
 def cmd_abelianize(args) -> int:
     method = args.method
-    unread = [o for o in ("--m", "--n", "--ceiling", "--group")
-              if o not in METHOD_READS[method] and getattr(args, o[2:]) is not None]
-    if unread:
-        raise UsageError("--method %s does not read %s" % (method, ", ".join(unread)))
+    _refuse_unread(args, "--method " + method, ("--m", "--n", "--ceiling", "--group"),
+                   METHOD_READS[method])
     if method == "hall":
         _require(args, "m", "n")
         _check_ceiling(args.ceiling, args.m, args.n)
@@ -227,10 +234,12 @@ def cmd_satoh(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _sweep_pairs(max_m: int, free_only: bool = False) -> list[tuple[int, int]]:
-    """The pairs (m, n), n | m, 2 <= m <= max_m, of a verify sweep; with
-    ``free_only`` those where PG(m, n) is free.  An empty sweep is a usage
-    error, and a table over DEFAULT_CEILING is refused before any is built."""
+def _sweep_pairs(max_m: int | None, free_only: bool = False) -> list[tuple[int, int]]:
+    """The pairs (m, n), n | m, 2 <= m <= max_m (None: 8), of a verify
+    sweep; with ``free_only`` those where PG(m, n) is free.  An empty sweep
+    is a usage error, and a table over DEFAULT_CEILING is refused before
+    any is built."""
+    max_m = 8 if max_m is None else max_m
     pairs = []
     for m in range(2, max_m + 1):
         for n in range(1, m + 1):
@@ -310,7 +319,7 @@ def verify_verdicts(args) -> list[tuple[str, bool]]:
 def verify_smith(args) -> list[tuple[str, bool]]:
     """Scramble known diagonal presentations with random unimodular row and
     column operations; the invariant factors must survive."""
-    rng = random.Random(args.seed)
+    rng = random.Random(0 if args.seed is None else args.seed)
     results = []
     trials, fails = 0, 0
     for _ in range(50):
@@ -340,17 +349,20 @@ def verify_smith(args) -> list[tuple[str, bool]]:
     return results
 
 
+# each verify subject and the options it reads; giving it another is a usage error
 VERIFY_SUBJECTS = {
-    "index": verify_index,
-    "abelianization": verify_abelianization,
-    "decomposition": verify_decomposition,
-    "verdicts": verify_verdicts,
-    "smith": verify_smith,
+    "index": (verify_index, ("--max-m",)),
+    "abelianization": (verify_abelianization, ("--max-m",)),
+    "decomposition": (verify_decomposition, ("--max-m",)),
+    "verdicts": (verify_verdicts, ()),
+    "smith": (verify_smith, ("--seed",)),
 }
 
 
 def cmd_verify(args) -> int:
-    results = VERIFY_SUBJECTS[args.subject](args)
+    check, reads = VERIFY_SUBJECTS[args.subject]
+    _refuse_unread(args, "verify " + args.subject, ("--max-m", "--seed"), reads)
+    results = check(args)
     all_ok = all(ok for _, ok in results)
     _emit(
         args,
@@ -375,8 +387,8 @@ OPTIONS = {
     "--sl": dict(action="store_true", help="report the matrix-level (SL) structure"),
     "--method": dict(choices=("hall", "full", "image"), default="full"),
     "subject": dict(choices=sorted(VERIFY_SUBJECTS)),
-    "--max-m": dict(type=int, default=8, help="upper bound of the (m, n) sweep"),
-    "--seed": dict(type=int, default=0, help="seed for randomized sweeps"),
+    "--max-m": dict(type=int, help="upper bound of the (m, n) sweep (default 8)"),
+    "--seed": dict(type=int, help="seed for randomized sweeps (default 0)"),
     "--json": dict(action="store_true", help="machine-readable output"),
 }
 

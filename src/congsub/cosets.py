@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
 
 from .matgroup import GeneratorWord, _check_pair
 
@@ -35,16 +34,28 @@ class CosetCeilingError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class CosetTable:
-    """Complete action of S and U on right cosets; coset 0 is the subgroup."""
+    """Complete action of S and U on right cosets; coset 0 is the subgroup.
 
-    s: tuple[int, ...]
-    u: tuple[int, ...]
-    u2: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    u2, the action of U^2 = U^-1, is derived from u; equality and hash
+    read s and u only."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "u2", tuple(self.u[self.u[i]] for i in range(len(self.u))))
+    __slots__ = ("s", "u", "u2")
+
+    def __init__(self, s: tuple[int, ...], u: tuple[int, ...]):
+        self.s, self.u = s, u
+        self.u2 = tuple(map(u.__getitem__, u))
+
+    def __eq__(self, other):
+        if other.__class__ is not CosetTable:
+            return NotImplemented
+        return (self.s, self.u) == (other.s, other.u)
+
+    def __hash__(self):
+        return hash((self.s, self.u))
+
+    def __repr__(self):
+        return "CosetTable(s=%r, u=%r)" % (self.s, self.u)
 
     @property
     def n(self) -> int:

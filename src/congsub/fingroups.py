@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterator
 
 from .cosets import CosetTable, _checked, orbit_table
 
@@ -26,13 +25,24 @@ class GroupTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Finite group with a full Cayley table; element 0 is the identity."""
 
-    tag: str
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    __slots__ = ("tag", "table", "inverse")
+
+    def __init__(self, tag: str, table: tuple[tuple[int, ...], ...], inverse: tuple[int, ...]):
+        self.tag, self.table, self.inverse = tag, table, inverse
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteGroup:
+            return NotImplemented
+        return (self.tag, self.table, self.inverse) == (other.tag, other.table, other.inverse)
+
+    def __hash__(self):
+        return hash((self.tag, self.table, self.inverse))
+
+    def __repr__(self):
+        return "FiniteGroup(tag=%r, table=%r, inverse=%r)" % (self.tag, self.table, self.inverse)
 
     @property
     def order(self) -> int:
@@ -307,9 +317,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return builder(arg)
 
 
-class Epimorphism(NamedTuple):
-    gx: int
-    gy: int
+Epimorphism = namedtuple("Epimorphism", "gx gy")
 
 
 def _check_epimorphism(g: FiniteGroup, pi0: Epimorphism) -> None:
@@ -369,8 +377,9 @@ LIFTS: dict[str, Callable[[FiniteGroup, int, int], tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class OrbitStabilizer:
+class OrbitStabilizer(namedtuple(
+    "OrbitStabilizer", "signed_orbit_size epi_orbit_size aut_plus_index sign_mixing image_table"
+)):
     """Orbit sizes of a generating pair under Aut(F2), and the coset table
     of the projective image of its special stabilizer.
 
@@ -383,11 +392,7 @@ class OrbitStabilizer:
     stabilizer's image in PSL2(Z).
     """
 
-    signed_orbit_size: int
-    epi_orbit_size: int
-    aut_plus_index: int
-    sign_mixing: bool
-    image_table: CosetTable
+    __slots__ = ()
 
 
 def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:

@@ -8,25 +8,27 @@ bottom row using the translation T = S*U.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 
-
-@dataclass(frozen=True)
 class Mat2:
     """2x2 integer matrix (a b; c d) with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(
-                "determinant must be 1, got %d"
-                % (self.a * self.d - self.b * self.c)
-            )
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise ValueError("determinant must be 1, got %d" % (a * d - b * c))
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return "Mat2(a=%r, b=%r, c=%r, d=%r)" % (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -56,7 +58,6 @@ T = Mat2(1, 1, 0, 1)
 NEG_IDENTITY = Mat2(-1, 0, 0, -1)
 
 
-@dataclass(frozen=True)
 class PslElement:
     """Element of PSL2(Z): pair {M, -M} with a canonical sign.
 
@@ -65,16 +66,25 @@ class PslElement:
     construction, so equal projective classes compare and hash equal.
     """
 
-    rep: Mat2
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        m = self.rep
-        for e in m.entries():
-            if e > 0:
-                break
-            if e < 0:
-                object.__setattr__(self, "rep", m.neg())
-                break
+    def __init__(self, rep: Mat2):
+        for e in (rep.a, rep.b, rep.c, rep.d):
+            if e:
+                self.rep = rep if e > 0 else rep.neg()
+                return
+        self.rep = rep
+
+    def __eq__(self, other):
+        if other.__class__ is not PslElement:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self):
+        return hash((self.rep,))
+
+    def __repr__(self):
+        return "PslElement(rep=%r)" % (self.rep,)
 
     def __mul__(self, other: "PslElement") -> "PslElement":
         return PslElement(self.rep * other.rep)
@@ -99,16 +109,27 @@ _PSL_INVERSE = {"S": "S", "U": "u", "u": "U"}
 _PSL_INVERT = str.maketrans(_PSL_INVERSE)
 
 
-@dataclass(frozen=True)
 class GeneratorWord:
     """Word over the PSL generator alphabet 'S', 'U', 'u'."""
 
-    letters: str
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        bad = set(self.letters) - set(_PSL_INVERSE)
+    def __init__(self, letters: str):
+        bad = set(letters) - set(_PSL_INVERSE)
         if bad:
             raise ValueError("letters %r not in the PSL alphabet" % bad)
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is not GeneratorWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self):
+        return "GeneratorWord(letters=%r)" % (self.letters,)
 
 
 def normalize_psl(letters: str) -> str:
@@ -216,14 +237,15 @@ def is_member(m: int, n: int, x: Mat2) -> bool:
 
 
 def index_formula(m: int, n: int) -> int:
-    """Index in SL2(Z): n * m^2 * prod_{p | m} (1 - p^-2), exact."""
+    """Index in SL2(Z): n * m^2 * prod_{p | m} (1 - p^-2), exact: the
+    integer n * m^2 * prod (p^2 - 1) // prod p^2."""
     _check_pair(m, n)
-    acc = Fraction(n * m * m)
+    num, den = n * m * m, 1
     for p in distinct_primes(m):
-        acc *= 1 - Fraction(1, p * p)
-    if acc.denominator != 1:
-        raise RuntimeError("index of Gamma(%d,%d) is not an integer: %s" % (m, n, acc))
-    return int(acc)
+        num, den = num * (p * p - 1), den * p * p
+    if num % den:
+        raise RuntimeError("index of Gamma(%d,%d) is not an integer: %d/%d" % (m, n, num, den))
+    return num // den
 
 
 def psl_index_formula(m: int, n: int) -> int:

@@ -16,10 +16,8 @@ named permutation columns; the Aut+(F2) route uses them.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .cosets import CosetTable
 from .matgroup import (
@@ -146,21 +144,18 @@ def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]
         raise RuntimeError("Schreier matrix: %s" % exc) from exc
 
 
-@dataclass(frozen=True)
-class KuroshDecomposition:
+class KuroshDecomposition(namedtuple(
+    "KuroshDecomposition", "free_rank f2 f3 witnesses_order2 witnesses_order3"
+)):
     """Free-product shape of a finite-index subgroup of PSL2(Z).
 
     free_rank free generators, f2 factors of order 2 and f3 factors of
     order 3; each finite factor is witnessed by a fixed coset and the
     transversal word conjugating the ambient torsion element into the
-    subgroup.
+    subgroup, a tuple of (coset, word) pairs per order.
     """
 
-    free_rank: int
-    f2: int
-    f3: int
-    witnesses_order2: tuple[tuple[int, str], ...]
-    witnesses_order3: tuple[tuple[int, str], ...]
+    __slots__ = ()
 
 
 def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
@@ -174,14 +169,14 @@ def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
     fixed_s = [c for c in range(t.n) if t.s[c] == c]
     fixed_u = [c for c in range(t.n) if t.u[c] == c]
     f2, f3 = len(fixed_s), len(fixed_u)
-    k = 1 + Fraction(t.n, 6) - Fraction(f2, 2) - Fraction(2 * f3, 3)
-    if k.denominator != 1 or k < 0:
+    k6 = 6 + t.n - 3 * f2 - 4 * f3  # 6k
+    if k6 % 6 or k6 < 0:
         raise RuntimeError(
-            "Euler identity violated (index %d, f2=%d, f3=%d): k=%s"
-            % (t.n, f2, f3, k)
+            "Euler identity violated (index %d, f2=%d, f3=%d): 6k=%d"
+            % (t.n, f2, f3, k6)
         )
     return KuroshDecomposition(
-        free_rank=int(k),
+        free_rank=k6 // 6,
         f2=f2,
         f3=f3,
         witnesses_order2=tuple((c, tr[c]) for c in fixed_s),
@@ -208,17 +203,15 @@ def free_rank(t: CosetTable) -> int:
     return dec.free_rank
 
 
-@dataclass(frozen=True)
-class SubgroupPresentation:
+class SubgroupPresentation(namedtuple("SubgroupPresentation", "witnesses relators")):
     """Presentation on the nontrivial Schreier generators.
 
-    witnesses[i] is the ambient word for generator i; relators are tuples
-    of nonzero signed 1-based generator indices (+k for g_{k-1}, -k for
-    its inverse).
+    witnesses[i] is the ambient word (a GeneratorWord) for generator i;
+    relators are tuples of nonzero signed 1-based generator indices (+k
+    for g_{k-1}, -k for its inverse).
     """
 
-    witnesses: tuple[GeneratorWord, ...]
-    relators: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n_generators(self) -> int:

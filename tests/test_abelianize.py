@@ -11,6 +11,7 @@ from congsub.abelianize import (
     AbelianInvariants,
     PerfectGroupError,
     _dense_smith_diagonal,
+    _sparse_smith,
     _fix_divisibility,
     free_rank_formula,
     full_abelianization,
@@ -62,6 +63,12 @@ def test_smith_diagonal_cases():
 def test_smith_rejects_ragged_rows():
     with pytest.raises(ValueError):
         smith_invariants([[1, 2, 3]], 2)
+
+
+def test_sparse_smith_refuses_a_stored_zero():
+    # its builders drop zeros; a stored one used to end in a KeyError from del r[j]
+    with pytest.raises(RuntimeError, match="a sparse row stores a zero"):
+        _sparse_smith([{0: 1, 1: 0}, {0: 1, 2: 5, 3: 7}], 4)
 
 
 def divisors(n):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import io
 import json
@@ -116,7 +115,8 @@ def test_satoh(capsys):
     "subject", ["index", "abelianization", "decomposition", "verdicts", "smith"]
 )
 def test_verify_subjects(capsys, subject):
-    code, out, _ = run(capsys, "verify", subject, "--max-m", "6")
+    sweep = ["--max-m", "6"] if subject in ("index", "abelianization", "decomposition") else []
+    code, out, _ = run(capsys, "verify", subject, *sweep)
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("PASS")
@@ -240,6 +240,20 @@ def test_the_default_method_reads_only_the_group(capsys, monkeypatch):
     code, out, err = run(capsys, "abelianize", "--m", "4", "--n", "4")
     assert (code, out, built) == (cli.EXIT_USAGE, "", [])
     assert err == "error: --method full does not read --m, --n\n"
+
+
+@pytest.mark.parametrize(
+    "subject, option",
+    [(s, "--seed") for s in ("index", "abelianization", "decomposition")]
+    + [("verdicts", "--max-m"), ("verdicts", "--seed"), ("smith", "--max-m")],
+)
+def test_an_option_the_verify_subject_does_not_read_is_a_usage_error(
+    capsys, monkeypatch, subject, option
+):
+    built = _never_build(monkeypatch)
+    code, out, err = run(capsys, "verify", subject, option, "4")
+    assert (code, out, built) == (cli.EXIT_USAGE, "", [])
+    assert err == "error: verify %s does not read %s\n" % (subject, option)
 
 
 @pytest.mark.parametrize(
@@ -386,7 +400,7 @@ def test_wrong_free_rank_is_an_internal_error(capsys, monkeypatch):
     real = rewriting.kurosh_decompose
 
     def off_by_one(t):
-        return dataclasses.replace(real(t), free_rank=real(t).free_rank + 1)
+        return real(t)._replace(free_rank=real(t).free_rank + 1)
 
     monkeypatch.setattr(rewriting, "kurosh_decompose", off_by_one)
     code, out, err = run(capsys, "rank", "--m", "4", "--n", "4")
