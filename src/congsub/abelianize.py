@@ -329,7 +329,7 @@ class PerfectGroupError(ValueError):
     """The infinite-abelianization certificate does not cover perfect groups."""
 
 
-Verdict = namedtuple("Verdict", "image_invariants free_rank certified")
+Verdict = namedtuple("Verdict", "image_invariants certified")
 
 
 def infinite_abelianization_verdict(
@@ -347,7 +347,7 @@ def infinite_abelianization_verdict(
             "group %s is perfect: out of certificate scope" % g.tag
         )
     inv = image_abelianization(g, pi0)
-    return Verdict(inv, inv.free_rank, inv.free_rank >= 1)
+    return Verdict(inv, inv.free_rank >= 1)
 
 
 class SlStructure(namedtuple(

@@ -216,12 +216,13 @@ def _state_action(g: FiniteGroup, name: str):
     return step
 
 
-class PairTable(namedtuple("PairTable", "n forward tree")):
+class PairTable(namedtuple("PairTable", "n forward")):
     """Coset table of the special stabilizer inside Aut+(F2): states are
     the generating pairs (images of x and y) in the Aut+(F2)-orbit of the
     base pair, columns the presentation generators acting by
-    precomposition.  forward maps each generator to its column, and tree
-    is the frozenset of non-root states' discovery edges (state, gen)."""
+    precomposition.  forward maps each generator to its column; the
+    states are numbered breadth-first in generator order, which fixes the
+    spanning tree."""
 
     __slots__ = ()
 
@@ -234,10 +235,10 @@ def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> PairTable:
     ``orbit_stabilizer(g, pi0).aut_plus_index``.
     """
     _check_epimorphism(g, pi0)
-    states, forward, tree = orbit_table(
+    states, forward = orbit_table(
         (pi0.gx, pi0.gy), {name: _state_action(g, name) for name in GENS}
     )
-    return PairTable(len(states), forward, frozenset(tree))
+    return PairTable(len(states), forward)
 
 
 def stabilizer_relation_rows(
@@ -251,5 +252,5 @@ def stabilizer_relation_rows(
     n_syms.
     """
     table = signed_coset_table(g, pi0)
-    edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
+    edges, words = rewrite_relators(table.forward, presentation().relators)
     return [row for row in exponent_sums(words) if row], len(edges)

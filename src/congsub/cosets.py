@@ -15,6 +15,12 @@ and in the benchmark's ``table`` job; no command of the package runs
 Todd-Coxeter.  The congruence action, the pair-orbit table of the
 Aut+(F2) route and the image orbit of generating pairs all come from the
 one breadth-first orbit function ``orbit_table``.
+
+Every table is standard (C. C. Sims, *Computation with Finitely Presented
+Groups*, 1994): scanning the states in order and their columns in order,
+each state met first carries the next number.  ``CosetTable.validate``
+checks this with ``non_tree_edges``, which reads the spanning tree off the
+numbering, and standard tables are isomorphic fixing 0 exactly when equal.
 """
 from __future__ import annotations
 
@@ -89,17 +95,7 @@ class CosetTable:
             raise ValueError("S^2 is not the identity")
         if any(self.u[self.u2[i]] != i for i in dom):
             raise ValueError("U^3 is not the identity")
-        # transitivity
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            c = queue.popleft()
-            for d in (self.s[c], self.u[c]):
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-        if len(seen) != n:
-            raise ValueError("action is not transitive")
+        non_tree_edges({"S": self.s, "U": self.u})
 
     def serialize(self) -> str:
         lines = ["cosets %d" % self.n]
@@ -125,43 +121,27 @@ def deserialize_table(text: str) -> CosetTable:
 
 
 def tables_isomorphic(t1: CosetTable, t2: CosetTable) -> bool:
-    """Base-point-preserving equivalence, by simultaneous BFS from coset 0."""
-    if t1.n != t2.n:
-        return False
-    mapping = {0: 0}
-    queue = deque([0])
-    pairs = ((t1.s, t2.s), (t1.u, t2.u))
-    while queue:
-        c = queue.popleft()
-        for col1, col2 in pairs:
-            d1 = col1[c]
-            d2 = col2[mapping[c]]
-            if d1 in mapping:
-                if mapping[d1] != d2:
-                    return False
-            else:
-                mapping[d1] = d2
-                queue.append(d1)
-    return len(set(mapping.values())) == t1.n
+    """Base-point-preserving equivalence of two validated tables: equality,
+    since each numbering is standard."""
+    return t1 == t2
 
 
 def orbit_table(
     start: Hashable, steps: dict[str, Callable[[Hashable], Hashable]]
-) -> tuple[list[Hashable], dict[str, tuple[int, ...]], list[tuple[int, str]]]:
+) -> tuple[list[Hashable], dict[str, tuple[int, ...]]]:
     """Breadth-first orbit of a hashable state under named step functions.
 
     ``steps`` maps generator names to functions state -> state, and its
     order is the order in which each state's neighbours are explored.
-    Returns the states in discovery order, one column per name (column
-    ``name`` holds the index of ``step(states[i])`` at position i; a
-    permutation when the steps are bijections of the orbit) and the
-    discovery edges (i, name) in discovery order, which form a spanning
-    tree rooted at state 0.
+    Returns the states in discovery order and one column per name
+    (column ``name`` holds the index of ``step(states[i])`` at position
+    i; a permutation when the steps are bijections of the orbit).  The
+    numbering is standard, so ``non_tree_edges`` reads the discovery tree
+    off the columns.
     """
     index = {start: 0}
     states = [start]
     columns: dict[str, list[int]] = {name: [] for name in steps}
-    tree: list[tuple[int, str]] = []
     i = 0
     while i < len(states):
         state = states[i]
@@ -172,10 +152,32 @@ def orbit_table(
                 j = len(states)
                 index[nxt] = j
                 states.append(nxt)
-                tree.append((i, name))
             columns[name].append(j)
         i += 1
-    return states, {name: tuple(col) for name, col in columns.items()}, tree
+    return states, {name: tuple(col) for name, col in columns.items()}
+
+
+def non_tree_edges(columns: dict[str, tuple[int, ...]]) -> list[tuple[int, str]]:
+    """The edges (state, name) off the breadth-first spanning tree from
+    state 0, state-major in column order: (k - 1) * n + 1 of them for k
+    columns on n states.  An edge into the first state not yet reached is
+    a tree edge; raises ``ValueError`` if the states are not numbered
+    breadth-first in column order or the action is not transitive."""
+    named = list(columns.items())
+    edges = []
+    reached = 1
+    for c in range(len(named[0][1])):
+        if c == reached:
+            raise ValueError("action is not transitive")
+        for name, col in named:
+            d = col[c]
+            if d < reached:
+                edges.append((c, name))
+            elif d == reached:
+                reached += 1
+            else:
+                raise ValueError("states are not numbered breadth-first from state 0")
+    return edges
 
 
 def _row_actions(q: int) -> tuple[list[int], list[int], list[int]]:
@@ -228,7 +230,7 @@ def congruence_table(m: int, n: int) -> CosetTable:
 
         return go
 
-    _, cols, _ = orbit_table(
+    _, cols = orbit_table(
         key(1 % m * m, 1 % n), {"S": step(s_m, s_n), "U": step(u_m, u_n)}
     )
     return _checked(CosetTable(cols["S"], cols["U"]), "congruence table (%d, %d)" % (m, n))

@@ -422,7 +422,7 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
         xi, yi = inverse[x], inverse[y]
         return min(min((c[x], c[y]), (c[xi], c[yi])) for c in inner)
 
-    states, columns, _ = orbit_table(
+    states, columns = orbit_table(
         key(*pi0), {name: (lambda p, f=f: key(*f(g, *p))) for name, f in LIFTS.items()}
     )
     image = _checked(CosetTable(columns["S"], columns["U"]), "image table of %s" % g.tag)

@@ -12,14 +12,15 @@ of length 2 or 3 and keep each edge at a fixed point with the relator g^2
 or g^3.  Transversal words are in normal form in Z/2 * Z/3, so a witness
 tr[c] x tr[x(c)]^-1 is reduced only where its parts meet.  The relator
 rewriter ``rewrite_relators`` and ``free_reduce`` work over any table of
-named permutation columns; the Aut+(F2) route uses them.
+named permutation columns numbered breadth-first, reading the spanning
+tree off the numbering; the Aut+(F2) route uses them.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 
-from .cosets import CosetTable
+from .cosets import CosetTable, non_tree_edges
 from .matgroup import (
     _PSL_INVERSE,
     _PSL_LETTERS,
@@ -42,41 +43,29 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     by a shorter word.  A coset that no word reaches is a corrupted table
     and raises ``RuntimeError``.
     """
+    return _schreier_tree(t)[0]
+
+
+def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]]:
+    """The transversal and its tree, as one flag per coset and generator
+    ('S', 'U') set at each tree edge: a coset discovered by S or U from c
+    consumes the pair at c, one found by u = U^-1 consumes its own U pair."""
     words: list[str | None] = [None] * t.n
     words[0] = ""
-    steps = [(letter, t.column(letter)) for letter in "SUu"]
+    in_s, in_u = bytearray(t.n), bytearray(t.n)
+    steps = (("S", t.s, in_s, False), ("U", t.u, in_u, False), ("u", t.u2, in_u, True))
     queue = deque([0])
     while queue:
         c = queue.popleft()
-        for letter, col in steps:
+        for letter, col, flags, at_target in steps:
             d = col[c]
             if words[d] is None:
                 words[d] = words[c] + letter
+                flags[d if at_target else c] = 1
                 queue.append(d)
     if None in words:
         raise RuntimeError("coset %d is not reachable from coset 0" % words.index(None))
-    return tuple(words)  # type: ignore[arg-type]
-
-
-def _tree_flags(t: CosetTable, tr: tuple[str, ...]) -> dict[str, bytearray]:
-    """One flag per coset and generator ('S', 'U'): set where the pair
-    (coset, generator) is an edge of the transversal's tree.
-
-    The tree edge into coset d > 0 is read off the last letter x of its
-    word: it leaves x^-1(d), and one explored via the letter u (= U^-1)
-    consumes the pair (d, 'U').
-    """
-    in_s, in_u = bytearray(t.n), bytearray(t.n)
-    s, u2 = t.s, t.u2
-    for d in range(1, t.n):
-        x = tr[d][-1]
-        if x == "u":
-            in_u[d] = 1
-        elif x == "S":
-            in_s[s[d]] = 1
-        else:
-            in_u[u2[d]] = 1
-    return {"S": in_s, "U": in_u}
+    return tuple(words), {"S": in_s, "U": in_u}  # type: ignore[return-value]
 
 
 def _join(p: str, q: str) -> str:
@@ -231,25 +220,24 @@ def free_reduce(word: Iterable[int]) -> tuple[int, ...]:
 
 def rewrite_relators(
     columns: dict[str, tuple[int, ...]],
-    tree: Collection[tuple[int, str]],
     relators: Iterable[tuple[tuple[str, int], ...]],
 ) -> tuple[list[tuple[int, str]], list[tuple[int, ...]]]:
     """Reidemeister-Schreier rewriting of relators through a coset table.
 
     ``columns`` maps each generator name to its permutation of the states,
-    ``tree`` holds the (state, name) edges of a spanning tree and
-    ``relators`` are words of (name, +1/-1) tokens.  The non-tree edges
-    are the Schreier generators, numbered from 1 state-major in column
-    order.  Returns those edges and, relator by relator and for every
-    start state, the relator read from that state as a freely reduced
-    word of signed generator numbers.
+    numbered breadth-first from state 0, and ``relators`` are words of
+    (name, +1/-1) tokens.  The ``non_tree_edges`` are the Schreier
+    generators, numbered from 1.  Returns those edges and, relator by
+    relator and for every start state, the relator read from that state as
+    a freely reduced word of signed generator numbers.  Columns not so
+    numbered are an internal fault and raise ``RuntimeError``.
     """
+    try:
+        edges = non_tree_edges(columns)
+    except ValueError as exc:
+        raise RuntimeError("coset table: %s" % exc) from exc
+    symbol = {e: k for k, e in enumerate(edges, 1)}
     n = len(next(iter(columns.values())))
-    symbol: dict[tuple[int, str], int] = {}
-    for c in range(n):
-        for name in columns:
-            if (c, name) not in tree:
-                symbol[(c, name)] = len(symbol) + 1
     inverse = {}
     for name, col in columns.items():
         back = [0] * n
@@ -273,7 +261,7 @@ def rewrite_relators(
             if cur != c:
                 raise RuntimeError("relator %r does not close at state %d" % (rel, c))
             words.append(free_reduce(out))
-    return list(symbol), words
+    return edges, words
 
 
 def exponent_sums(words: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
@@ -329,8 +317,7 @@ def _reduced_schreier(
     reads its two flags.  A coset at which S^2 or U^3 does not close is
     a corrupted table and raises ``RuntimeError``.
     """
-    tr = transversal(t)
-    tree = _tree_flags(t, tr)
+    tr, tree = _schreier_tree(t)
     edges: list[tuple[int, str]] = []
     squares: list[tuple[int, ...]] = []
     cubes: list[tuple[int, ...]] = []

@@ -330,7 +330,7 @@ def test_verdicts_non_perfect_groups():
         g = parse_group_spec(spec)
         assert g.order <= 24
         v = infinite_abelianization_verdict(g)
-        assert v.certified and v.free_rank >= 1, spec
+        assert v.certified and v.image_invariants.free_rank >= 1, spec
 
 
 def test_verdict_rejects_perfect():

@@ -27,7 +27,7 @@ from congsub.autpres import (
     _tok_inv,
 )
 from congsub.cli import VERDICT_SPECS
-from congsub.cosets import orbit_table
+from congsub.cosets import non_tree_edges, orbit_table
 from congsub.fingroups import (
     abelian,
     cyclic,
@@ -159,7 +159,7 @@ def test_signed_table_columns_are_permutations():
 def test_tree_is_spanning():
     g = dihedral(4)
     table = signed_coset_table(g, epi_set(g)[0])
-    assert len(table.tree) == table.n - 1
+    assert len(non_tree_edges(table.forward)) == table.n * len(GENS) - (table.n - 1)
 
 
 def test_relation_rows_shape():
@@ -189,9 +189,10 @@ def test_rewritten_relators_are_products_of_schreier_generators(g):
     pi0 = epi_set(g)[0]
     base = (pi0.gx, pi0.gy)
     table = signed_coset_table(g, pi0)
-    edges, words = rewrite_relators(table.forward, table.tree, presentation().relators)
+    edges, words = rewrite_relators(table.forward, presentation().relators)
+    tree = {(c, name) for c in range(table.n) for name in GENS} - set(edges)
     tree_word = {0: ()}
-    for c, name in sorted(table.tree, key=lambda e: table.forward[e[1]][e[0]]):
+    for c, name in sorted(tree, key=lambda e: table.forward[e[1]][e[0]]):
         tree_word[table.forward[name][c]] = tree_word[c] + ((name, 1),)
     gen_word = [
         tree_word[c] + ((name, 1),) + _tok_inv(tree_word[table.forward[name][c]])
@@ -272,10 +273,10 @@ def _signed_step(g, name):
 def signed_abelianization(g, pi0):
     """The special stabilizer's abelianization through the signed orbit,
     and the number of signed states."""
-    states, forward, tree = orbit_table(
+    states, forward = orbit_table(
         (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
     )
-    edges, words = rewrite_relators(forward, frozenset(tree), signed_relators())
+    edges, words = rewrite_relators(forward, signed_relators())
     rows = [row for row in exponent_sums(words) if row]
     return _sparse_smith(rows, len(edges)), len(states)
 

@@ -294,13 +294,31 @@ def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
     real = cosets.orbit_table
 
     def broken(start, steps):
-        states, columns, tree = real(start, steps)
-        return states, {**columns, "S": (0,) * len(columns["S"])}, tree
+        states, columns = real(start, steps)
+        return states, {**columns, "S": (0,) * len(columns["S"])}
 
     monkeypatch.setattr(cosets, "orbit_table", broken)
     code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err == "error: internal: congruence table (6, 3): actions are not permutations\n"
+
+
+def test_renumbered_congruence_table_is_an_internal_error(capsys, monkeypatch):
+    real = cosets.orbit_table
+
+    def broken(start, steps):
+        # states 1 and 2 exchanged: the same action, not numbered breadth-first
+        states, columns = real(start, steps)
+        p = (0, 2, 1) + tuple(range(3, len(states)))
+        return states, {x: tuple(p[col[p[i]]] for i in range(len(p))) for x, col in columns.items()}
+
+    monkeypatch.setattr(cosets, "orbit_table", broken)
+    code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == (
+        "error: internal: congruence table (6, 3): "
+        "states are not numbered breadth-first from state 0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -313,9 +331,9 @@ def test_invalid_image_table_is_an_internal_error(capsys, monkeypatch, argv):
 
     def broken(start, steps):
         # S as a cyclic shift of the 3 cosets: a permutation, not an involution
-        states, columns, tree = real(start, steps)
+        states, columns = real(start, steps)
         n = len(columns["S"])
-        return states, {**columns, "S": tuple((i + 1) % n for i in range(n))}, tree
+        return states, {**columns, "S": tuple((i + 1) % n for i in range(n))}
 
     monkeypatch.setattr(fingroups, "orbit_table", broken)
     code, out, err = run(capsys, *argv)

@@ -55,7 +55,7 @@ def stabilizer_minimum_table(m, n):
 
     s_mat = (0, 1, (-1) % m, 0)
     u_mat = (0, (-1) % m, 1, 1)
-    _, cols, _ = orbit_table(
+    _, cols = orbit_table(
         coset((1, 0, 0, 1)),
         {"S": lambda x: coset(mul(x, s_mat)), "U": lambda x: coset(mul(x, u_mat))},
     )
@@ -95,8 +95,26 @@ def test_trace_rejects_an_unknown_letter():
 
 
 def test_validate_rejects_intransitive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^action is not transitive$"):
         CosetTable((0, 1), (0, 1)).validate()
+
+
+def swap_states_1_and_2(t):
+    """t with cosets 1 and 2 exchanged: the same action, numbered otherwise."""
+    p = (0, 2, 1) + tuple(range(3, t.n))
+    return CosetTable(*(tuple(p[col[p[i]]] for i in range(t.n)) for col in (t.s, t.u)))
+
+
+def test_validate_rejects_a_renumbered_table():
+    t = swap_states_1_and_2(congruence_table(3, 3))
+    # still permutations with S^2 = U^3 = 1 and transitive: only the numbering is off
+    assert t != congruence_table(3, 3) and sorted(t.s) == sorted(t.u) == list(range(t.n))
+    assert all(t.s[t.s[c]] == c and t.u[t.u2[c]] == c for c in range(t.n))
+    refusal = "^states are not numbered breadth-first from state 0$"
+    with pytest.raises(ValueError, match=refusal):
+        t.validate()
+    with pytest.raises(ValueError, match=refusal):
+        deserialize_table(t.serialize())
 
 
 def test_tables_isomorphic():

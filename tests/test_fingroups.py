@@ -12,6 +12,7 @@ from congsub.cosets import (
     CosetTable,
     congruence_table,
     enumerate_cosets,
+    non_tree_edges,
     orbit_table,
     tables_isomorphic,
 )
@@ -192,23 +193,26 @@ class SignedOrbit:
 def signed_orbit(g: FiniteGroup, pi0: Epimorphism) -> SignedOrbit:
     """Orbit of the signed pair (pi0, +1) under the Nielsen moves: its
     stabilizer is the special stabilizer."""
-    states, columns, tree = orbit_table(
+    states, columns = orbit_table(
         SignedEpi(pi0.gx, pi0.gy, 1),
         {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
     )
-    # tree word and its abelianized action per state, built along the tree
+    # tree word and its abelianized action per state, built along the
+    # discovery tree: the edges that non_tree_edges leaves, in scan order
+    off_tree = set(non_tree_edges(columns))
     words = [""] * len(states)
     mats = [(1, 0, 0, 1)] * len(states)
-    for i, x in tree:
-        j = columns[x][i]
-        words[j] = words[i] + x
-        mats[j] = _rho_mul(mats[i], AUT_RHO[x])
-    tree_edges = set(tree)
+    for i in range(len(states)):
+        for x in AUT_LETTERS:
+            if (i, x) not in off_tree:
+                j = columns[x][i]
+                words[j] = words[i] + x
+                mats[j] = _rho_mul(mats[i], AUT_RHO[x])
     stab: list[str] = []
     stab_rho: dict[tuple[int, int, int, int], None] = {}
     for i, word in enumerate(words):
         for x in AUT_LETTERS:
-            if (i, x) not in tree_edges:
+            if (i, x) in off_tree:
                 j = columns[x][i]
                 stab.append(word + x + invert_aut_word(words[j]))
                 # rho is a homomorphism: rho(w) = M_i rho(x) M_j^-1

@@ -1,14 +1,20 @@
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congsub.abelianize import _sparse_smith, smith_invariants
+from congsub.autpres import signed_coset_table
 from congsub.cosets import (
     CosetTable,
     congruence_table,
     enumerate_cosets,
+    non_tree_edges,
     orbit_table,
     tables_isomorphic,
 )
+from congsub.fingroups import epi_set, parse_group_spec
 from congsub.matgroup import (
     Mat2,
     PslElement,
@@ -19,7 +25,7 @@ from congsub.matgroup import (
 )
 from congsub.rewriting import (
     _reduced_schreier,
-    _tree_flags,
+    _schreier_tree,
     abelianized_relation_matrix,
     exponent_sums,
     free_rank,
@@ -38,7 +44,7 @@ U_CUBED = (("U", 1),) * 3
 
 def tree_pairs(t):
     """The (coset, generator) pairs that the transversal's tree uses."""
-    flags = _tree_flags(t, transversal(t))
+    flags = _schreier_tree(t)[1]
     return frozenset((c, x) for x, f in flags.items() for c in range(t.n) if f[c])
 
 
@@ -106,6 +112,48 @@ def test_tree_edge_count():
     for m, n in [(2, 1), (3, 3), (5, 5)]:
         t = congruence_table(m, n)
         assert len(tree_pairs(t)) == t.n - 1
+
+
+def relabel(columns, p):
+    """The same action with state i renamed p[i]."""
+    new = {}
+    for name, col in columns.items():
+        out = [0] * len(col)
+        for i, j in enumerate(col):
+            out[p[i]] = p[j]
+        new[name] = tuple(out)
+    return new
+
+
+def reference_tree_edges(columns):
+    """The discovery edges of a breadth-first search from state 0 that
+    explores each state's columns in order."""
+    seen, queue, tree = {0}, deque([0]), set()
+    while queue:
+        c = queue.popleft()
+        for name, col in columns.items():
+            if col[c] not in seen:
+                seen.add(col[c])
+                tree.add((c, name))
+                queue.append(col[c])
+    return tree
+
+
+def assert_non_tree_edges_contract(columns, relabellings):
+    """non_tree_edges returns (k - 1) n + 1 edges, state-major in column
+    order, whose complement is the breadth-first tree; and a transitive
+    action has no nontrivial automorphism fixing state 0, so each
+    nontrivial relabelling fixing state 0 is refused."""
+    n, names = len(next(iter(columns.values()))), list(columns)
+    edges = non_tree_edges(columns)
+    assert len(edges) == (len(names) - 1) * n + 1
+    assert edges == sorted(edges, key=lambda e: (e[0], names.index(e[1])))
+    everything = {(c, name) for c in range(n) for name in names}
+    assert everything - set(edges) == reference_tree_edges(columns)
+    for p in relabellings:
+        if list(p) != list(range(n)):
+            with pytest.raises(ValueError, match="^states are not numbered breadth-first"):
+                non_tree_edges(relabel(columns, p))
 
 
 def test_schreier_generators_fix_base_coset():
@@ -214,7 +262,7 @@ def transitive_tables(draw):
         s[p[i]], s[p[i + 1]] = p[i + 1], p[i]
     for i in range(0, 3 * max(0, n // 3 - draw(st.integers(0, 2))), 3):
         u[q[i]], u[q[i + 1]], u[q[i + 2]] = q[i + 1], q[i + 2], q[i]
-    _, columns, _ = orbit_table(0, {"S": s.__getitem__, "U": u.__getitem__})
+    _, columns = orbit_table(0, {"S": s.__getitem__, "U": u.__getitem__})
     t = CosetTable(columns["S"], columns["U"])
     t.validate()
     return t
@@ -242,8 +290,7 @@ def test_presentation_has_kurosh_shape(t):
     assert_matches_reference(t)
     # oracle: the unreduced Reidemeister-Schreier presentation, S^2 and U^3
     # rewritten from every coset, has the same abelianization
-    tree = tree_pairs(t)
-    edges, rels = rewrite_relators({"S": t.s, "U": t.u}, tree, (S_SQUARED, U_CUBED))
+    edges, rels = rewrite_relators({"S": t.s, "U": t.u}, (S_SQUARED, U_CUBED))
     unreduced = _sparse_smith(exponent_sums(rels), len(edges))
     assert unreduced == smith_invariants(abelianized_relation_matrix(p), p.n_generators)
 
@@ -262,6 +309,33 @@ def test_schreier_matrices_are_their_witnesses(t):
     # multiplies each witness out letter by letter
     for word, elem in schreier_generators(t):
         assert word_to_matrix(word.letters) == elem
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables(), st.data())
+def test_non_tree_edges_reads_the_breadth_first_tree(t, data):
+    p = [0] + data.draw(st.permutations(range(1, t.n)))
+    assert_non_tree_edges_contract({"S": t.s, "U": t.u}, [p])
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2", "sym:3", "dihedral:4"])
+def test_non_tree_edges_of_pair_orbit_tables(spec):
+    g = parse_group_spec(spec)
+    table = signed_coset_table(g, epi_set(g)[0])
+    # every transposition of two states other than 0
+    swaps = []
+    for i, j in itertools.combinations(range(1, table.n), 2):
+        p = list(range(table.n))
+        p[i], p[j] = j, i
+        swaps.append(p)
+    assert_non_tree_edges_contract(table.forward, swaps)
+
+
+def test_rewriting_refuses_renumbered_columns():
+    t = congruence_table(3, 3)
+    columns = relabel({"S": t.s, "U": t.u}, [0, 2, 1] + list(range(3, t.n)))
+    with pytest.raises(RuntimeError, match="states are not numbered breadth-first"):
+        rewrite_relators(columns, (S_SQUARED, U_CUBED))
 
 
 @pytest.mark.parametrize("build", [subgroup_presentation, schreier_generators])

@@ -41,7 +41,7 @@ VALUES = {
     "GeneratorWord": lambda: GeneratorWord("SUu"),
     "CosetTable": lambda: CosetTable((1, 0, 2), (1, 2, 0)),
     "AbelianInvariants": lambda: AbelianInvariants((2, 4), 1),
-    "Verdict": lambda: Verdict(AbelianInvariants((), 2), 2, True),
+    "Verdict": lambda: Verdict(AbelianInvariants((), 2), True),
     "SlStructure": lambda: SlStructure(False, True, "free", 3, AbelianInvariants((), 3)),
     "KuroshDecomposition": lambda: KuroshDecomposition(1, 1, 0, ((0, ""),), ()),
     "SubgroupPresentation": lambda: SubgroupPresentation((GeneratorWord("S"),), ((1, 1),)),
@@ -60,7 +60,7 @@ def test_equal_fields_give_equal_values_and_hashes(make):
 
 def test_pair_tables_with_equal_fields_are_equal():
     # a PairTable holds a dict, so it is unhashable, as it always was
-    make = lambda: PairTable(1, {"s": (0,)}, frozenset())  # noqa: E731
+    make = lambda: PairTable(1, {"s": (0,)})  # noqa: E731
     assert make() == make()
     with pytest.raises(TypeError):
         hash(make())
