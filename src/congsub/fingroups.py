@@ -329,9 +329,12 @@ def _check_epimorphism(g: FiniteGroup, pi0: Epimorphism) -> None:
 def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
     """Ordered generating pairs, lazily, in lexicographic element order.
 
-    <x, y> depends only on the cyclic subgroups <x> and <y>, so one
-    closure is computed per unordered pair of cyclic subgroups, the first
-    time a pair of elements meets it.
+    <x, y> depends only on the cyclic subgroups <x> and <y>, so whether
+    they generate is kept in a table indexed by pairs of cyclic
+    subgroups.  The first time a pair of elements meets an unknown entry,
+    its closure H is computed.  When H is proper, no pair of cyclic
+    subgroups inside H generates, so all of them are marked at once and
+    none is closed again.
     """
     k = g.order
     cyclic_id: list[int] = []
@@ -342,16 +345,25 @@ def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
         if c == len(generator_of):
             generator_of.append(x)
         cyclic_id.append(c)
-    generates: dict[tuple[int, int], bool] = {}
+    nc = len(generator_of)
+    generates: list[list[bool | None]] = [[None] * nc for _ in range(nc)]
     for x in range(k):
         cx = cyclic_id[x]
+        row = generates[cx]
         for y in range(k):
             cy = cyclic_id[y]
-            key = (cx, cy) if cx <= cy else (cy, cx)
-            ok = generates.get(key)
+            ok = row[cy]
             if ok is None:
-                pair = (generator_of[key[0]], generator_of[key[1]])
-                ok = generates[key] = len(g.closure(pair)) == k
+                h = g.closure((generator_of[cx], generator_of[cy]))
+                ok = len(h) == k
+                if ok:
+                    row[cy] = generates[cy][cx] = True
+                else:
+                    inside = [c for c in range(nc) if generator_of[c] in h]
+                    for c in inside:
+                        row_c = generates[c]
+                        for d in inside:
+                            row_c[d] = False
             if ok:
                 yield Epimorphism(x, y)
 
@@ -360,8 +372,9 @@ def epi_set(g: FiniteGroup, limit: int | None = None) -> list[Epimorphism]:
     """All ordered generating pairs, in lexicographic element order; only
     the first ``limit`` of them when a limit is given.
 
-    Exact: <x, y> is computed once per unordered pair of cyclic subgroups
-    (<x>, <y>) rather than once per pair of elements.
+    Exact: <x, y> is computed at most once per unordered pair of cyclic
+    subgroups (<x>, <y>), and not at all for a pair inside a proper
+    subgroup already found.
     """
     return list(itertools.islice(_generating_pairs(g), limit))
 

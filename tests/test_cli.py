@@ -291,28 +291,26 @@ def test_verify_sweep_up_to_the_ceiling_is_listed():
 
 
 def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
-    real = cosets.orbit_table
+    real = cosets.CosetTable
 
-    def broken(start, steps):
-        states, columns = real(start, steps)
-        return states, {**columns, "S": (0,) * len(columns["S"])}
+    def broken(s, u):
+        return real((0,) * len(s), u)
 
-    monkeypatch.setattr(cosets, "orbit_table", broken)
+    monkeypatch.setattr(cosets, "CosetTable", broken)
     code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err == "error: internal: congruence table (6, 3): actions are not permutations\n"
 
 
 def test_renumbered_congruence_table_is_an_internal_error(capsys, monkeypatch):
-    real = cosets.orbit_table
+    real = cosets.CosetTable
 
-    def broken(start, steps):
+    def broken(s, u):
         # states 1 and 2 exchanged: the same action, not numbered breadth-first
-        states, columns = real(start, steps)
-        p = (0, 2, 1) + tuple(range(3, len(states)))
-        return states, {x: tuple(p[col[p[i]]] for i in range(len(p))) for x, col in columns.items()}
+        p = (0, 2, 1) + tuple(range(3, len(s)))
+        return real(*(tuple(p[col[p[i]]] for i in range(len(p))) for col in (s, u)))
 
-    monkeypatch.setattr(cosets, "orbit_table", broken)
+    monkeypatch.setattr(cosets, "CosetTable", broken)
     code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err == (

@@ -76,11 +76,26 @@ def test_serialize_round_trip():
     t = congruence_table(4, 2)
     t2 = deserialize_table(t.serialize())
     assert t2.s == t.s and t2.u == t.u
+    # rows may come in any order
+    head, *rows = t.serialize().splitlines()
+    assert deserialize_table("\n".join([head] + rows[::-1])) == t
 
 
 def test_deserialize_rejects_garbage():
     with pytest.raises(ValueError):
         deserialize_table("nonsense\n")
+    with pytest.raises(ValueError, match="header"):
+        deserialize_table("")
+    with pytest.raises(ValueError, match="header"):
+        deserialize_table("cosets\n")
+    # each row index in 0..n-1, exactly once
+    for rows in ("0 1 0\n5 1 1\n", "0 1 0\n-1 0 1\n", "0 1 0\n0 1 0\n", "0 1 0\n1 0 1\n1 0 1\n"):
+        with pytest.raises(ValueError, match="out of range or repeated"):
+            deserialize_table("cosets 2\n" + rows)
+    with pytest.raises(ValueError, match="^no row for coset 1$"):
+        deserialize_table("cosets 2\n0 1 0\n")
+    with pytest.raises(ValueError, match="^a row is"):
+        deserialize_table("cosets 2\n0 1 0\n1 0\n")
     # S action not an involution
     with pytest.raises(ValueError):
         deserialize_table("cosets 2\n0 1 0\n1 1 1\n")

@@ -466,6 +466,55 @@ def _group_and_epis(spec):
     return g, epi_set(g)
 
 
+def _unpruned_epis(g):
+    """The scan without pruning: one closure per unordered pair of cyclic
+    subgroups, the first time a pair of elements meets it.  Returns the
+    pairs and the number of closures."""
+    k = g.order
+    cyclic_of = [frozenset(g._powers(x)) for x in range(k)]
+    generates = {}
+    epis = []
+    for x, y in itertools.product(range(k), repeat=2):
+        key = frozenset((cyclic_of[x], cyclic_of[y]))
+        ok = generates.get(key)
+        if ok is None:
+            ok = generates[key] = len(g.closure((x, y))) == k
+        if ok:
+            epis.append(Epimorphism(x, y))
+    return epis, len(generates)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_epi_set_matches_the_unpruned_scan(spec):
+    g, epis = _group_and_epis(spec)
+    want, _ = _unpruned_epis(g)
+    assert epis == want
+    for limit in (0, 1, 2, len(want) // 2, len(want) - 1, len(want) + 1):
+        assert epi_set(g, limit=limit) == want[:limit]
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "dihedral:60"])
+def test_generating_pairs_are_pruned_by_proper_closures(spec, monkeypatch):
+    g, epis = _group_and_epis(spec)
+    # one closure for each unordered pair of cyclic subgroups
+    _, unpruned = _unpruned_epis(g)
+    calls = []
+    real = FiniteGroup.closure
+
+    def counting(self, elements):
+        calls.append(elements)
+        return real(self, elements)
+
+    monkeypatch.setattr(FiniteGroup, "closure", counting)
+    assert epi_set(g) == epis
+    full = len(calls)
+    assert full < unpruned
+    # still lazy: the first pair comes before the scan is done
+    del calls[:]
+    assert epi_set(g, limit=1) == epis[:1]
+    assert len(calls) < full
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
 def test_image_orbit_matches_the_signed_orbit_oracle(spec, position):
