@@ -17,18 +17,21 @@ orbit of generating pairs come from the breadth-first orbit function
 ``orbit_table``; the congruence action walks the same breadth-first order
 in its own loop, with the S and U steps on the packed keys written out.
 
-Every table is standard (C. C. Sims, *Computation with Finitely Presented
-Groups*, 1994): scanning the states in order and their columns in order,
-each state met first carries the next number.  ``CosetTable.validate``
-checks this with ``non_tree_edges``, which reads the spanning tree off the
-numbering, and standard tables are isomorphic fixing 0 exactly when equal.
+Every table is valid by construction: ``CosetTable`` refuses columns with
+an image outside 0..n-1, with S^2 or U^3 not the identity, or not
+standard (C. C. Sims, *Computation with Finitely Presented Groups*, 1994):
+scanning the states in order and their columns in order, each state met
+first carries the next number.  ``non_tree_edges`` checks the numbering,
+reading the spanning tree off it, and standard tables are isomorphic
+fixing 0 exactly when equal.  A table the package builds that is refused
+is an internal fault (``RuntimeError``).
 """
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Hashable
 
-from .matgroup import GeneratorWord, _check_pair
+from .matgroup import _check_pair, _check_psl_word
 
 DEFAULT_CEILING = 10**6
 
@@ -44,14 +47,28 @@ class CosetCeilingError(RuntimeError):
 class CosetTable:
     """Complete action of S and U on right cosets; coset 0 is the subgroup.
 
+    The constructor raises ``ValueError`` unless the columns form a valid
+    table: every image in 0..n-1, S^2 = U^3 = 1 and the numbering standard
+    and transitive (``non_tree_edges``), so every table in existence is
+    valid.  An involution and a map of order 3 of 0..n-1 are permutations.
     u2, the action of U^2 = U^-1, is derived from u; equality and hash
     read s and u only."""
 
     __slots__ = ("s", "u", "u2")
 
     def __init__(self, s: tuple[int, ...], u: tuple[int, ...]):
+        n = len(s)
+        if len(u) != n or n == 0:
+            raise ValueError("malformed table")
+        if min(s) < 0 or min(u) < 0 or max(s) >= n or max(u) >= n:
+            raise ValueError("images are not in 0..%d" % (n - 1))
         self.s, self.u = s, u
-        self.u2 = tuple(map(u.__getitem__, u))
+        self.u2 = u2 = tuple(map(u.__getitem__, u))
+        if any(s[s[i]] != i for i in range(n)):
+            raise ValueError("S^2 is not the identity")
+        if any(u[u2[i]] != i for i in range(n)):
+            raise ValueError("U^3 is not the identity")
+        non_tree_edges({"S": s, "U": u})
 
     def __eq__(self, other):
         if other.__class__ is not CosetTable:
@@ -78,25 +95,11 @@ class CosetTable:
             return self.u2
         raise ValueError("unknown letter %r" % letter)
 
-    def trace(self, coset: int, word: GeneratorWord | str) -> int:
-        letters = word.letters if isinstance(word, GeneratorWord) else word
-        cols = {x: self.column(x) for x in set(letters)}
-        for x in letters:
+    def trace(self, coset: int, word: str) -> int:
+        cols = {x: self.column(x) for x in set(word)}
+        for x in word:
             coset = cols[x][coset]
         return coset
-
-    def validate(self):
-        n = self.n
-        if len(self.u) != n or n == 0:
-            raise ValueError("malformed table")
-        dom = list(range(n))
-        if sorted(self.s) != dom or sorted(self.u) != dom:
-            raise ValueError("actions are not permutations")
-        if any(self.s[self.s[i]] != i for i in dom):
-            raise ValueError("S^2 is not the identity")
-        if any(self.u[self.u2[i]] != i for i in dom):
-            raise ValueError("U^3 is not the identity")
-        non_tree_edges({"S": self.s, "U": self.u})
 
     def serialize(self) -> str:
         lines = ["cosets %d" % self.n]
@@ -108,31 +111,30 @@ class CosetTable:
 def deserialize_table(text: str) -> CosetTable:
     """The table ``serialize`` wrote: a ``cosets N`` header, then one row
     ``i s(i) u(i)`` for each coset i in 0..N-1, each i exactly once, in
-    any order.  Raises ``ValueError`` on any other text, and on a table
-    that fails ``validate()``."""
+    any order.  Raises ``ValueError`` on any other text, and on columns
+    that ``CosetTable`` refuses."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines or len(lines[0]) != 2 or lines[0][0] != "cosets":
         raise ValueError("missing 'cosets N' header")
     n = int(lines[0][1])
-    s: list[int | None] = [None] * n
-    u: list[int | None] = [None] * n
+    s: dict[int, int] = {}
+    u: dict[int, int] = {}
     for ln in lines[1:]:
         if len(ln) != 3:
             raise ValueError("a row is 'coset S-image U-image', got %r" % " ".join(ln))
         i, si, ui = map(int, ln)
-        if not 0 <= i < n or s[i] is not None:
+        if not 0 <= i < n or i in s:
             raise ValueError("row index %d is out of range or repeated" % i)
         s[i], u[i] = si, ui
-    if None in s:
-        raise ValueError("no row for coset %d" % s.index(None))
-    t = CosetTable(tuple(s), tuple(u))
-    t.validate()
-    return t
+    # nothing of size N is allocated before every row is there
+    if len(s) < n:
+        raise ValueError("no row for coset %d" % next(c for c in range(n) if c not in s))
+    return CosetTable(tuple(s[c] for c in range(n)), tuple(u[c] for c in range(n)))
 
 
 def tables_isomorphic(t1: CosetTable, t2: CosetTable) -> bool:
-    """Base-point-preserving equivalence of two validated tables: equality,
-    since each numbering is standard."""
+    """Base-point-preserving equivalence of two tables: equality, since
+    each numbering is standard."""
     return t1 == t2
 
 
@@ -255,20 +257,18 @@ def congruence_table(m: int, n: int) -> CosetTable:
             j = index[x] = len(states)
             states.append(x)
         u_col.append(j)
-    del states, index, get  # freed before validate() allocates
-    return _checked(
-        CosetTable(tuple(s_col), tuple(u_col)), "congruence table (%d, %d)" % (m, n)
-    )
+    del states, index, get  # freed before the table's check allocates
+    return _checked(tuple(s_col), tuple(u_col), "congruence table (%d, %d)" % (m, n))
 
 
-def _checked(t: CosetTable, source: str) -> CosetTable:
-    """t, after ``validate()``: a table built here that fails it is an
-    internal fault, so its ``ValueError`` is raised as ``RuntimeError``."""
+def _checked(s: tuple[int, ...], u: tuple[int, ...], source: str) -> CosetTable:
+    """``CosetTable(s, u)`` for columns built by the package: columns it
+    refuses are an internal fault, so its ``ValueError`` is raised as
+    ``RuntimeError``."""
     try:
-        t.validate()
+        return CosetTable(s, u)
     except ValueError as exc:
         raise RuntimeError("%s: %s" % (source, exc)) from exc
-    return t
 
 
 # --- Todd-Coxeter enumeration over <S, U | S^2, U^3> ---
@@ -361,19 +361,20 @@ class _Enumerator:
 
 
 def enumerate_cosets(
-    subgroup_generators: list[GeneratorWord | str],
+    subgroup_generators: list[str],
     ceiling: int = DEFAULT_CEILING,
 ) -> CosetTable:
     """Todd-Coxeter (HLT) coset enumeration for a subgroup of PSL2(Z).
 
     The caller is responsible for the subgroup having finite index; the
-    ceiling aborts runaway enumerations.
+    ceiling aborts runaway enumerations.  A generator word with a letter
+    outside 'S', 'U', 'u' raises ``ValueError``.
     """
     enum = _Enumerator(ceiling)
     for w in subgroup_generators:
-        letters = w.letters if isinstance(w, GeneratorWord) else w
-        if letters:
-            enum.scan_and_fill(0, letters)
+        _check_psl_word(w)
+        if w:
+            enum.scan_and_fill(0, w)
     alpha = 0
     while alpha < len(enum.table):
         if enum.rep(alpha) == alpha:
@@ -408,4 +409,4 @@ def _standardize(enum: _Enumerator) -> CosetTable:
     for old, new in order.items():
         s[new] = order[live_next[old][0]]
         u[new] = order[live_next[old][1]]
-    return _checked(CosetTable(tuple(s), tuple(u)), "Todd-Coxeter table")
+    return _checked(tuple(s), tuple(u), "Todd-Coxeter table")

@@ -16,7 +16,7 @@ import re
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
 
-from .cosets import CosetTable, _checked, orbit_table
+from .cosets import _checked, orbit_table
 
 MAX_GROUP_ORDER = 120
 
@@ -438,7 +438,7 @@ def orbit_stabilizer(g: FiniteGroup, pi0: Epimorphism) -> OrbitStabilizer:
     states, columns = orbit_table(
         key(*pi0), {name: (lambda p, f=f: key(*f(g, *p))) for name, f in LIFTS.items()}
     )
-    image = _checked(CosetTable(columns["S"], columns["U"]), "image table of %s" % g.tag)
+    image = _checked(columns["S"], columns["U"], "image table of %s" % g.tag)
     x, y = pi0
     eps = 1 if (inverse[x], inverse[y]) in {(c[x], c[y]) for c in inner} else 2
     aut_plus = len(inner) * image.n * eps

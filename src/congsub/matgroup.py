@@ -109,27 +109,11 @@ _PSL_INVERSE = {"S": "S", "U": "u", "u": "U"}
 _PSL_INVERT = str.maketrans(_PSL_INVERSE)
 
 
-class GeneratorWord:
-    """Word over the PSL generator alphabet 'S', 'U', 'u'."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: str):
-        bad = set(letters) - set(_PSL_INVERSE)
-        if bad:
-            raise ValueError("letters %r not in the PSL alphabet" % bad)
-        self.letters = letters
-
-    def __eq__(self, other):
-        if other.__class__ is not GeneratorWord:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.letters,))
-
-    def __repr__(self):
-        return "GeneratorWord(letters=%r)" % (self.letters,)
+def _check_psl_word(word: str):
+    """Raises ``ValueError`` unless word is over 'S', 'U' and 'u'."""
+    bad = set(word) - _PSL_INVERSE.keys()
+    if bad:
+        raise ValueError("letters %r not in the PSL alphabet" % bad)
 
 
 def normalize_psl(letters: str) -> str:
@@ -165,16 +149,16 @@ def invert_psl(letters: str) -> str:
     return letters[::-1].translate(_PSL_INVERT)
 
 
-def word_to_matrix(w: GeneratorWord | str) -> PslElement:
+def word_to_matrix(w: str) -> PslElement:
     """Left-to-right product of generator representatives, canonicalized."""
-    letters = w.letters if isinstance(w, GeneratorWord) else w
+    _check_psl_word(w)
     acc = PSL_IDENTITY
-    for x in letters:
+    for x in w:
         acc = acc * _PSL_LETTERS[x]
     return acc
 
 
-def matrix_to_word(x: PslElement) -> GeneratorWord:
+def matrix_to_word(x: PslElement) -> str:
     """Express a PSL2(Z) element as a word in S and U.
 
     Euclidean reduction on the bottom row peels off factors T^q * S until
@@ -193,7 +177,7 @@ def matrix_to_word(x: PslElement) -> GeneratorWord:
     # n is now +-(1 k; 0 1)
     k = n.b if n.a == 1 else -n.b
     chunks.append(_t_power_psl(k))
-    return GeneratorWord(normalize_psl("".join(chunks)))
+    return normalize_psl("".join(chunks))
 
 
 def _t_power_psl(q: int) -> str:

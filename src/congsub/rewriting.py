@@ -25,7 +25,6 @@ from .matgroup import (
     _PSL_INVERSE,
     _PSL_LETTERS,
     IDENTITY,
-    GeneratorWord,
     PslElement,
     invert_psl,
 )
@@ -38,10 +37,10 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
 
     Edges are explored in the fixed order S < U < U^2 so the result is
     deterministic for a given table.  Each word is in normal form: it
-    never contains SS, UU, Uu, uU or uu, because in a table where S^2
-    and U^3 close, the coset each such pair would reach was discovered
-    by a shorter word.  A coset that no word reaches is a corrupted table
-    and raises ``RuntimeError``.
+    never contains SS, UU, Uu, uU or uu, because S^2 and U^3 close in
+    every table, so the coset each such pair would reach was discovered
+    by a shorter word.  Every coset is reached, since a table is
+    transitive.
     """
     return _schreier_tree(t)[0]
 
@@ -49,7 +48,8 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
 def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]]:
     """The transversal and its tree, as one flag per coset and generator
     ('S', 'U') set at each tree edge: a coset discovered by S or U from c
-    consumes the pair at c, one found by u = U^-1 consumes its own U pair."""
+    consumes the pair at c, one found by u = U^-1 consumes its own U pair.
+    The table is transitive, so every word is set."""
     words: list[str | None] = [None] * t.n
     words[0] = ""
     in_s, in_u = bytearray(t.n), bytearray(t.n)
@@ -63,8 +63,6 @@ def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]
                 words[d] = words[c] + letter
                 flags[d if at_target else c] = 1
                 queue.append(d)
-    if None in words:
-        raise RuntimeError("coset %d is not reachable from coset 0" % words.index(None))
     return tuple(words), {"S": in_s, "U": in_u}  # type: ignore[return-value]
 
 
@@ -99,23 +97,23 @@ def _schreier_word(tr, coset: int, letter: str, target: int) -> str:
     return _join(_join(tr[coset], letter), invert_psl(tr[target]))
 
 
-def schreier_generators(t: CosetTable) -> list[tuple[GeneratorWord, PslElement]]:
+def schreier_generators(t: CosetTable) -> list[tuple[str, PslElement]]:
     """Reduced Schreier generating set for the subgroup at coset 0.
 
-    The witnesses of ``subgroup_presentation(t)``, each paired with its
-    matrix: k + f2 + f3 words for a subgroup F_k * (Z/2)^f2 * (Z/3)^f3,
-    so for torsion-free subgroups the result is a free basis.  The
-    witness of the edge (c, x) is tr[c] x tr[x(c)]^-1, so its matrix is
-    M[c] * x * M[x(c)]^-1, where M[c] is the matrix of the transversal
-    word of coset c, built once per coset from the word's prefix.  A
-    product that fails ``Mat2``'s determinant check is an internal fault
-    and raises ``RuntimeError``.
+    The witnesses of ``subgroup_presentation(t)``, each a PSL word paired
+    with its matrix: k + f2 + f3 words for a subgroup
+    F_k * (Z/2)^f2 * (Z/3)^f3, so for torsion-free subgroups the result
+    is a free basis.  The witness of the edge (c, x) is tr[c] x tr[x(c)]^-1,
+    so its matrix is M[c] * x * M[x(c)]^-1, where M[c] is the matrix of
+    the transversal word of coset c, built once per coset from the word's
+    prefix.  A product that fails ``Mat2``'s determinant check is an
+    internal fault and raises ``RuntimeError``.
     """
     tr, edges, _ = _reduced_schreier(t)
     cols = {x: t.column(x) for x in _PSL_INVERSE}
     words = []
     for c, x in edges:
-        w = GeneratorWord(_schreier_word(tr, c, x, cols[x][c]))
+        w = _schreier_word(tr, c, x, cols[x][c])
         if t.trace(0, w) != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
         words.append(w)
@@ -195,7 +193,7 @@ def free_rank(t: CosetTable) -> int:
 class SubgroupPresentation(namedtuple("SubgroupPresentation", "witnesses relators")):
     """Presentation on the nontrivial Schreier generators.
 
-    witnesses[i] is the ambient word (a GeneratorWord) for generator i;
+    witnesses[i] is the ambient PSL word (a str) for generator i;
     relators are tuples of nonzero signed 1-based generator indices (+k
     for g_{k-1}, -k for its inverse).
     """
@@ -296,7 +294,7 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     """
     tr, edges, relators = _reduced_schreier(t)
     cols = {x: t.column(x) for x in "SU"}
-    witnesses = tuple(GeneratorWord(_schreier_word(tr, c, x, cols[x][c])) for c, x in edges)
+    witnesses = tuple(_schreier_word(tr, c, x, cols[x][c]) for c, x in edges)
     return SubgroupPresentation(witnesses, tuple(relators))
 
 
@@ -311,11 +309,10 @@ def _reduced_schreier(
     presentation keeps as generators and its torsion relators over them.
 
     Cosets are scanned in increasing order, S before U.  Each x-cycle is
-    walked once, from its lowest coset: a cycle that closes there closes
-    at every coset on it.  The walk marks the cycle as seen and its
-    highest non-tree coset as dropped, so each later coset on it only
-    reads its two flags.  A coset at which S^2 or U^3 does not close is
-    a corrupted table and raises ``RuntimeError``.
+    walked once, from its lowest coset; S^2 and U^3 close in every table,
+    so a cycle has length 1 or the order of x.  The walk marks the cycle
+    as seen and its highest non-tree coset as dropped, so each later
+    coset on it only reads its two flags.
     """
     tr, tree = _schreier_tree(t)
     edges: list[tuple[int, str]] = []
@@ -338,8 +335,6 @@ def _reduced_schreier(
                     if d > drop and not in_tree[d]:
                         drop = d
                     d = col[d]
-                if d != c:
-                    raise RuntimeError("%s^%d does not close at coset %d" % (x, order, c))
                 if drop >= 0:
                     mark[drop] = _DROPPED
             if mark[c] == _SEEN and not in_tree[c]:

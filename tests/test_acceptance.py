@@ -159,7 +159,7 @@ def test_11_property_suites():
     for _ in range(1000):
         w = "".join(rng.choice("SUu") for _ in range(rng.randint(0, 50)))
         x = word_to_matrix(w)
-        ok = ok and word_to_matrix(matrix_to_word(x).letters) == x
+        ok = ok and word_to_matrix(matrix_to_word(x)) == x
     # Smith normal form vs brute-force cokernel oracle, 200 seeded matrices
     from test_abelianize import cokernel_order_statistics, determinant
     from math import gcd

@@ -299,7 +299,7 @@ def test_invalid_congruence_table_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cosets, "CosetTable", broken)
     code, out, err = run(capsys, "table", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
-    assert err == "error: internal: congruence table (6, 3): actions are not permutations\n"
+    assert err == "error: internal: congruence table (6, 3): S^2 is not the identity\n"
 
 
 def test_renumbered_congruence_table_is_an_internal_error(capsys, monkeypatch):

@@ -25,7 +25,6 @@ def test_congruence_table_sizes():
     for m, n in all_pairs(10):
         t = congruence_table(m, n)
         assert t.n == psl_index_formula(m, n), (m, n)
-        t.validate()
 
 
 def stabilizer_minimum_table(m, n):
@@ -99,10 +98,17 @@ def test_deserialize_rejects_garbage():
     # S action not an involution
     with pytest.raises(ValueError):
         deserialize_table("cosets 2\n0 1 0\n1 1 1\n")
+    # every image in 0..n-1, checked before U^2 is derived from U
+    for rows in ("0 0 5\n", "0 5 0\n", "0 -1 0\n"):
+        with pytest.raises(ValueError, match=r"^images are not in 0\.\.0$"):
+            deserialize_table("cosets 1\n" + rows)
+    # a header alone allocates nothing of its size
+    with pytest.raises(ValueError, match="^no row for coset 0$"):
+        deserialize_table("cosets %d\n" % 10**15)
 
 
 def test_trace_rejects_an_unknown_letter():
-    # a plain str skips GeneratorWord's alphabet check
+    # trace checks the alphabet through column
     t = congruence_table(3, 3)
     assert t.trace(0, "SUu") == t.u2[t.u[t.s[0]]]
     with pytest.raises(ValueError, match="unknown letter 'x'"):
@@ -110,26 +116,30 @@ def test_trace_rejects_an_unknown_letter():
 
 
 def test_validate_rejects_intransitive():
+    # the construction checks the table
     with pytest.raises(ValueError, match="^action is not transitive$"):
-        CosetTable((0, 1), (0, 1)).validate()
+        CosetTable((0, 1), (0, 1))
 
 
 def swap_states_1_and_2(t):
-    """t with cosets 1 and 2 exchanged: the same action, numbered otherwise."""
+    """The columns of t with cosets 1 and 2 exchanged: the same action,
+    numbered otherwise."""
     p = (0, 2, 1) + tuple(range(3, t.n))
-    return CosetTable(*(tuple(p[col[p[i]]] for i in range(t.n)) for col in (t.s, t.u)))
+    return tuple(tuple(p[col[p[i]]] for i in range(t.n)) for col in (t.s, t.u))
 
 
 def test_validate_rejects_a_renumbered_table():
-    t = swap_states_1_and_2(congruence_table(3, 3))
+    t = congruence_table(3, 3)
+    s, u = swap_states_1_and_2(t)
     # still permutations with S^2 = U^3 = 1 and transitive: only the numbering is off
-    assert t != congruence_table(3, 3) and sorted(t.s) == sorted(t.u) == list(range(t.n))
-    assert all(t.s[t.s[c]] == c and t.u[t.u2[c]] == c for c in range(t.n))
+    assert (s, u) != (t.s, t.u) and sorted(s) == sorted(u) == list(range(t.n))
+    assert all(s[s[c]] == c and u[u[u[c]]] == c for c in range(t.n))
     refusal = "^states are not numbered breadth-first from state 0$"
     with pytest.raises(ValueError, match=refusal):
-        t.validate()
+        CosetTable(s, u)
+    text = "cosets %d\n" % t.n + "".join("%d %d %d\n" % row for row in zip(range(t.n), s, u))
     with pytest.raises(ValueError, match=refusal):
-        deserialize_table(t.serialize())
+        deserialize_table(text)
 
 
 def test_tables_isomorphic():
@@ -186,7 +196,7 @@ def test_invalid_enumerated_table_is_an_internal_error(monkeypatch):
             pass
 
     monkeypatch.setattr(cosets, "_Enumerator", Broken)
-    with pytest.raises(RuntimeError, match="^Todd-Coxeter table: actions are not permutations$"):
+    with pytest.raises(RuntimeError, match="^Todd-Coxeter table: S\\^2 is not the identity$"):
         enumerate_cosets(["S", "U"])
 
 

@@ -2,7 +2,8 @@
 
 ``import congsub.cli`` loads no heavy standard-library module, and every
 value type compares and hashes by its fields, keeps a dataclass-style
-repr and keeps its validation messages.
+repr and keeps its validation messages.  A PSL word is a plain ``str``;
+its alphabet is checked where a caller hands one in.
 """
 import subprocess
 import sys
@@ -12,9 +13,9 @@ import pytest
 
 from congsub.abelianize import AbelianInvariants, SlStructure, Verdict
 from congsub.autpres import PairTable, Presentation, presentation
-from congsub.cosets import CosetTable, congruence_table
+from congsub.cosets import CosetTable, congruence_table, enumerate_cosets
 from congsub.fingroups import Epimorphism, FiniteGroup, OrbitStabilizer, cyclic
-from congsub.matgroup import GeneratorWord, Mat2, PslElement
+from congsub.matgroup import Mat2, PslElement, word_to_matrix
 from congsub.rewriting import KuroshDecomposition, SubgroupPresentation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,13 +39,12 @@ def test_cli_import_loads_no_heavy_module():
 VALUES = {
     "Mat2": lambda: Mat2(2, 1, 1, 1),
     "PslElement": lambda: PslElement(Mat2(-1, 0, -3, -1)),
-    "GeneratorWord": lambda: GeneratorWord("SUu"),
     "CosetTable": lambda: CosetTable((1, 0, 2), (1, 2, 0)),
     "AbelianInvariants": lambda: AbelianInvariants((2, 4), 1),
     "Verdict": lambda: Verdict(AbelianInvariants((), 2), True),
     "SlStructure": lambda: SlStructure(False, True, "free", 3, AbelianInvariants((), 3)),
     "KuroshDecomposition": lambda: KuroshDecomposition(1, 1, 0, ((0, ""),), ()),
-    "SubgroupPresentation": lambda: SubgroupPresentation((GeneratorWord("S"),), ((1, 1),)),
+    "SubgroupPresentation": lambda: SubgroupPresentation(("S",), ((1, 1),)),
     "FiniteGroup": lambda: FiniteGroup("cyclic:2", ((0, 1), (1, 0)), (0, 1)),
     "Epimorphism": lambda: Epimorphism(1, 0),
     "OrbitStabilizer": lambda: OrbitStabilizer(12, 6, 6, True, CosetTable((0,), (0,))),
@@ -70,7 +70,6 @@ def test_slot_values_differ_by_their_fields():
     assert Mat2(2, 1, 1, 1) != Mat2(1, 1, 0, 1)
     assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
     assert PslElement(Mat2(0, 1, -1, 0)) == PslElement(Mat2(0, -1, 1, 0))
-    assert GeneratorWord("S") != GeneratorWord("U") and GeneratorWord("S") != "S"
     # u2 is derived, so it takes no part in equality
     assert CosetTable((1, 0, 2), (1, 2, 0)) != CosetTable((0, 2, 1), (1, 2, 0))
 
@@ -78,7 +77,6 @@ def test_slot_values_differ_by_their_fields():
 def test_reprs_keep_the_dataclass_format():
     assert repr(Mat2(2, 1, 1, 1)) == "Mat2(a=2, b=1, c=1, d=1)"
     assert repr(PslElement(Mat2(-1, 0, 0, -1))) == "PslElement(rep=Mat2(a=1, b=0, c=0, d=1))"
-    assert repr(GeneratorWord("SU")) == "GeneratorWord(letters='SU')"
     assert repr(CosetTable((0,), (0,))) == "CosetTable(s=(0,), u=(0,))"
     assert repr(AbelianInvariants((2,), 1)) == "AbelianInvariants(torsion=(2,), free_rank=1)"
     assert repr(Epimorphism(1, 0)) == "Epimorphism(gx=1, gy=0)"
@@ -94,8 +92,18 @@ def test_values_built_by_the_package_keep_their_fields():
 def test_validation_messages():
     with pytest.raises(ValueError, match=r"^determinant must be 1, got 2$"):
         Mat2(2, 0, 0, 1)
-    with pytest.raises(ValueError, match=r"^letters \{'T'\} not in the PSL alphabet$"):
-        GeneratorWord("STU")
+    for read in (word_to_matrix, lambda w: enumerate_cosets([w])):
+        with pytest.raises(ValueError, match=r"^letters \{'T'\} not in the PSL alphabet$"):
+            read("STU")
+    for columns, message in [
+        (((), ()), "malformed table"),
+        (((0, 1), (0,)), "malformed table"),
+        (((1, 2), (0, 1)), r"images are not in 0\.\.1"),
+        (((1, 1), (0, 1)), r"S\^2 is not the identity"),
+        (((1, 0), (1, 0)), r"U\^3 is not the identity"),
+    ]:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            CosetTable(*columns)
     with pytest.raises(ValueError, match=r"^invalid invariants$"):
         AbelianInvariants((1,), 0)
     with pytest.raises(ValueError, match=r"^invalid invariants$"):
