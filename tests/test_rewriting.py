@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congsub import cosets
 from congsub.abelianize import _sparse_smith, smith_invariants
 from congsub.autpres import signed_coset_table
 from congsub.cosets import (
@@ -404,6 +405,37 @@ def test_construction_accepts_exactly_the_valid_columns(columns):
     else:
         assert reference_accepts(*columns)
         assert _reduced_schreier(t)[1:] == reference_reduced_schreier(t)
+
+
+def _planted(monkeypatch, s, u):
+    """Make the package's own table builders produce the columns (s, u)."""
+    real = cosets.CosetTable
+    monkeypatch.setattr(cosets, "CosetTable", lambda _s, _u: real(s, u))
+
+
+@pytest.mark.parametrize("build", [subgroup_presentation, schreier_generators])
+def test_unclosed_relator_is_an_internal_error(build, monkeypatch):
+    # U swaps the two cosets, so U^3 does not close at coset 0: the
+    # columns are refused as they are built, before the reader runs
+    _planted(monkeypatch, (1, 0), (1, 0))
+    with pytest.raises(ValueError, match="^U\\^3 is not the identity$"):
+        build(CosetTable((1, 0), (1, 0)))
+    with pytest.raises(RuntimeError, match="^congruence table \\(2, 1\\): U\\^3 is not the identity$"):
+        build(congruence_table(2, 1))
+    with pytest.raises(RuntimeError, match="^Todd-Coxeter table: U\\^3 is not the identity$"):
+        build(enumerate_cosets(["S", "U"]))
+
+
+@pytest.mark.parametrize("build", [subgroup_presentation, schreier_generators])
+def test_unreachable_coset_is_an_internal_error(build, monkeypatch):
+    # both cosets are fixed by S and U, so coset 1 is not reached from 0
+    _planted(monkeypatch, (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="^action is not transitive$"):
+        build(CosetTable((0, 1), (0, 1)))
+    with pytest.raises(RuntimeError, match="^congruence table \\(2, 1\\): action is not transitive$"):
+        build(congruence_table(2, 1))
+    with pytest.raises(RuntimeError, match="^Todd-Coxeter table: action is not transitive$"):
+        build(enumerate_cosets(["S", "U"]))
 
 
 def test_free_presentations_keep_no_relator():
