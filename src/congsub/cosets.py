@@ -273,16 +273,26 @@ def _checked(s: tuple[int, ...], u: tuple[int, ...], source: str) -> CosetTable:
 
 # --- Todd-Coxeter enumeration over <S, U | S^2, U^3> ---
 
-_COLS = {"S": 0, "U": 1, "u": 2}
-_INV_COL = (0, 2, 1)  # S <-> S, U <-> u
 _RELATORS = ("SS", "UUU")
 
 
 class _Enumerator:
+    """HLT state: three flat columns, the images of every coset under S,
+    U and u = U^-1 (``None`` where undefined), and the union-find forest
+    ``p`` of coincidences, p[i] <= i, so a coset is live exactly when
+    p[i] == i.  A word is scanned in its code, one (column, inverse
+    column) pair per letter; S^2 and U^3 are coded once."""
+
     def __init__(self, ceiling: int):
         self.ceiling = ceiling
-        self.table: list[list[int | None]] = [[None, None, None]]
-        self.p = [0]  # union-find; p[i] <= i, rep is fixed point
+        self.cols: tuple[list[int | None], ...] = ([None], [None], [None])
+        s, u, u2 = self.cols
+        self.pairs = {"S": (s, s), "U": (u, u2), "u": (u2, u)}
+        self.relators = [self.code(r) for r in _RELATORS]
+        self.p = [0]
+
+    def code(self, word: str) -> list[tuple[list[int | None], list[int | None]]]:
+        return [self.pairs[x] for x in word]
 
     def rep(self, k: int) -> int:
         l = k
@@ -293,17 +303,18 @@ class _Enumerator:
             p[k], k = l, p[k]
         return l
 
-    def define(self, alpha: int, col: int):
-        if len(self.table) >= self.ceiling:
+    def define(self, alpha: int, col: list[int | None], inv: list[int | None]):
+        beta = len(self.p)
+        if beta >= self.ceiling:
             raise CosetCeilingError(
                 "enumeration exceeded %d cosets: possible infinite index "
                 "or ceiling too low" % self.ceiling
             )
-        beta = len(self.table)
-        self.table.append([None, None, None])
+        for c in self.cols:
+            c.append(None)
         self.p.append(beta)
-        self.table[alpha][col] = beta
-        self.table[beta][_INV_COL[col]] = alpha
+        col[alpha] = beta
+        inv[beta] = alpha
 
     def merge(self, k: int, l: int, queue: deque):
         k, l = self.rep(k), self.rep(l)
@@ -318,46 +329,52 @@ class _Enumerator:
         self.merge(alpha, beta, queue)
         while queue:
             g = queue.popleft()
-            for col in range(3):
-                d = self.table[g][col]
+            for col, inv in self.pairs.values():
+                d = col[g]
                 if d is None:
                     continue
-                self.table[d][_INV_COL[col]] = None
+                inv[d] = None
                 mu, nu = self.rep(g), self.rep(d)
-                t = self.table[mu][col]
+                t = col[mu]
                 if t is not None:
                     self.merge(nu, t, queue)
                 else:
-                    t = self.table[nu][_INV_COL[col]]
+                    t = inv[nu]
                     if t is not None:
                         self.merge(mu, t, queue)
                     else:
-                        self.table[mu][col] = nu
-                        self.table[nu][_INV_COL[col]] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word: str):
-        cols = [_COLS[x] for x in word]
+    def scan_and_fill(self, alpha: int, code: list[tuple[list[int | None], list[int | None]]]):
         f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
+        b, j = alpha, len(code) - 1
         while True:
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.table[f][cols[i]]
+            while i <= j:
+                e = code[i][0][f]
+                if e is None:
+                    break
+                f = e
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][_INV_COL[cols[j]]] is not None:
-                b = self.table[b][_INV_COL[cols[j]]]
+            while j >= i:
+                e = code[j][1][b]
+                if e is None:
+                    break
+                b = e
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
+            col, inv = code[i]
             if j == i:
-                self.table[f][cols[i]] = b
-                self.table[b][_INV_COL[cols[i]]] = f
+                col[f] = b
+                inv[b] = f
                 return
-            self.define(f, cols[i])
+            self.define(f, col, inv)
 
 
 def enumerate_cosets(
@@ -366,47 +383,47 @@ def enumerate_cosets(
 ) -> CosetTable:
     """Todd-Coxeter (HLT) coset enumeration for a subgroup of PSL2(Z).
 
-    The caller is responsible for the subgroup having finite index; the
-    ceiling aborts runaway enumerations.  A generator word with a letter
-    outside 'S', 'U', 'u' raises ``ValueError``.
+    The generators are scanned at coset 0, then S^2 and U^3 at every
+    live coset in order, defining cosets as the scans need them and
+    merging coincidences.  The caller is responsible for the subgroup
+    having finite index; the ceiling aborts runaway enumerations.  A
+    generator word with a letter outside 'S', 'U', 'u' raises
+    ``ValueError``.
     """
     enum = _Enumerator(ceiling)
     for w in subgroup_generators:
         _check_psl_word(w)
         if w:
-            enum.scan_and_fill(0, w)
+            enum.scan_and_fill(0, enum.code(w))
+    p = enum.p
     alpha = 0
-    while alpha < len(enum.table):
-        if enum.rep(alpha) == alpha:
-            for rel in _RELATORS:
-                enum.scan_and_fill(alpha, rel)
-                if enum.rep(alpha) != alpha:
-                    break
+    while alpha < len(p):
+        for rel in enum.relators:
+            if p[alpha] != alpha:
+                break
+            enum.scan_and_fill(alpha, rel)
         alpha += 1
     return _standardize(enum)
 
 
 def _standardize(enum: _Enumerator) -> CosetTable:
-    """Renumber live cosets by BFS from 0 in generator order S < U."""
-    live_next = {}
-    for alpha in range(len(enum.table)):
-        if enum.rep(alpha) == alpha:
-            row = enum.table[alpha]
-            live_next[alpha] = (enum.rep(row[0]), enum.rep(row[1]))
-    order = {enum.rep(0): 0}
-    queue = deque([enum.rep(0)])
-    while queue:
-        c = queue.popleft()
-        for d in live_next[c]:
-            if d not in order:
-                order[d] = len(order)
-                queue.append(d)
-    if len(order) != len(live_next):
+    """Renumber the live cosets breadth-first from 0 in generator order
+    S < U.  Every coset is first resolved to its live representative,
+    in one pass since p[i] <= i."""
+    p = enum.p
+    for i, k in enumerate(p):
+        p[i] = p[k]
+    s_col, u_col, _ = enum.cols
+    new: list[int | None] = [None] * len(p)
+    new[0] = 0
+    order = [0]
+    for c in order:
+        for d in (p[s_col[c]], p[u_col[c]]):
+            if new[d] is None:
+                new[d] = len(order)
+                order.append(d)
+    if len(order) != sum(k == i for i, k in enumerate(p)):
         raise RuntimeError("incomplete table after enumeration")
-    n = len(order)
-    s = [0] * n
-    u = [0] * n
-    for old, new in order.items():
-        s[new] = order[live_next[old][0]]
-        u[new] = order[live_next[old][1]]
-    return _checked(tuple(s), tuple(u), "Todd-Coxeter table")
+    s = tuple(new[p[s_col[c]]] for c in order)
+    u = tuple(new[p[u_col[c]]] for c in order)
+    return _checked(s, u, "Todd-Coxeter table")

@@ -24,7 +24,7 @@ from .cosets import CosetTable, non_tree_edges
 from .matgroup import (
     _PSL_INVERSE,
     _PSL_LETTERS,
-    IDENTITY,
+    Mat2,
     PslElement,
     invert_psl,
 )
@@ -103,32 +103,51 @@ def schreier_generators(t: CosetTable) -> list[tuple[str, PslElement]]:
     The witnesses of ``subgroup_presentation(t)``, each a PSL word paired
     with its matrix: k + f2 + f3 words for a subgroup
     F_k * (Z/2)^f2 * (Z/3)^f3, so for torsion-free subgroups the result
-    is a free basis.  The witness of the edge (c, x) is tr[c] x tr[x(c)]^-1,
+    is a free basis.  Each witness is walked through the table and must
+    fix coset 0.  The witness of the edge (c, x) is tr[c] x tr[x(c)]^-1,
     so its matrix is M[c] * x * M[x(c)]^-1, where M[c] is the matrix of
     the transversal word of coset c, built once per coset from the word's
-    prefix.  A product that fails ``Mat2``'s determinant check is an
-    internal fault and raises ``RuntimeError``.
+    prefix.  The matrices are multiplied as integer quadruples (a, b, c,
+    d), and every product, of the transversal and of the generators, has
+    its determinant checked; only the generators' matrices become
+    ``Mat2``.  A witness that moves coset 0 or a product of determinant
+    other than 1 is an internal fault and raises ``RuntimeError``.
     """
     tr, edges, _ = _reduced_schreier(t)
     cols = {x: t.column(x) for x in _PSL_INVERSE}
     words = []
     for c, x in edges:
         w = _schreier_word(tr, c, x, cols[x][c])
-        if t.trace(0, w) != 0:
+        d = 0
+        for y in w:
+            d = cols[y][d]
+        if d != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
         words.append(w)
-    try:
-        # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
-        mats = [IDENTITY] * t.n
-        for c in sorted(range(1, t.n), key=lambda c: len(tr[c])):
-            last = tr[c][-1]
-            mats[c] = mats[cols[_PSL_INVERSE[last]][c]] * _LETTER_MATRIX[last]
-        return [
-            (w, PslElement(mats[c] * _LETTER_MATRIX[x] * mats[cols[x][c]].inv()))
-            for w, (c, x) in zip(words, edges)
-        ]
-    except ValueError as exc:
-        raise RuntimeError("Schreier matrix: %s" % exc) from exc
+    letter = {x: g.entries() for x, g in _LETTER_MATRIX.items()}
+    # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
+    mats = [(1, 0, 0, 1)] * t.n
+    for c in sorted(range(1, t.n), key=list(map(len, tr)).__getitem__):
+        last = tr[c][-1]
+        mats[c] = _product(mats[cols[_PSL_INVERSE[last]][c]], letter[last])
+    gens = []
+    for w, (c, x) in zip(words, edges):
+        a, b, cc, d = mats[cols[x][c]]
+        g = _product(_product(mats[c], letter[x]), (d, -b, -cc, a))
+        gens.append((w, PslElement(Mat2(*g))))
+    return gens
+
+
+def _product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two 2x2 integer matrices given as (a, b, c, d);
+    raises ``RuntimeError`` unless its determinant is 1."""
+    a, b, c, d = p
+    e, f, g, h = q
+    r = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    det = r[0] * r[3] - r[1] * r[2]
+    if det != 1:
+        raise RuntimeError("Schreier matrix: determinant must be 1, got %d" % det)
+    return r
 
 
 class KuroshDecomposition(namedtuple(

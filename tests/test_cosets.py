@@ -10,7 +10,14 @@ from congsub.cosets import (
     orbit_table,
     tables_isomorphic,
 )
-from congsub.matgroup import Mat2, PslElement, matrix_to_word, psl_index_formula
+from congsub.matgroup import (
+    Mat2,
+    PslElement,
+    invert_psl,
+    matrix_to_word,
+    normalize_psl,
+    psl_index_formula,
+)
 from congsub.rewriting import schreier_generators
 
 
@@ -183,20 +190,64 @@ def test_enumerate_agrees_with_oracle(m, n):
     assert tables_isomorphic(t, oracle)
 
 
-def test_invalid_enumerated_table_is_an_internal_error(monkeypatch):
-    class Broken(cosets._Enumerator):
-        """Leaves a complete table whose S sends both cosets to coset 1."""
+# the redundant words of these pairs are their generators again: two generators each
+NO_REDUNDANT_WORD = ((3, 1), (4, 1))
 
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m, n in all_pairs(24) if m >= 3 and (m, n) not in NO_REDUNDANT_WORD]
+)
+def test_enumerate_through_coincidences(m, n, monkeypatch):
+    # w_i w_{i+1} w_{i+3}^-1 (indices mod k) lies in the subgroup; scanned at coset 0 before
+    # the generators w_i, it defines cosets that the generators then merge
+    merged = []
+
+    class Counting(cosets._Enumerator):
+        def coincidence(self, alpha, beta):
+            merged.append((alpha, beta))
+            super().coincidence(alpha, beta)
+
+    monkeypatch.setattr(cosets, "_Enumerator", Counting)
+    oracle = congruence_table(m, n)
+    words = [w for w, _ in schreier_generators(oracle)]
+    k = len(words)
+    redundant = [
+        normalize_psl(words[i] + words[(i + 1) % k] + invert_psl(words[(i + 3) % k]))
+        for i in range(k)
+    ]
+    t = enumerate_cosets(redundant + words)
+    assert t == oracle
+    assert merged
+
+
+def plant_enumeration(monkeypatch, columns, p):
+    """Make Todd-Coxeter scan nothing and leave the flat columns (S, U, u)
+    and the union-find forest p."""
+
+    class Planted(cosets._Enumerator):
         def __init__(self, ceiling):
             super().__init__(ceiling)
-            self.table = [[1, 0, 0], [1, 1, 1]]
-            self.p = [0, 1]
+            for col, planted in zip(self.cols, columns):
+                col[:] = planted
+            self.p[:] = p
 
-        def scan_and_fill(self, alpha, word):
+        def scan_and_fill(self, alpha, code):
             pass
 
-    monkeypatch.setattr(cosets, "_Enumerator", Broken)
+    monkeypatch.setattr(cosets, "_Enumerator", Planted)
+
+
+def test_invalid_enumerated_table_is_an_internal_error(monkeypatch):
+    # a complete table whose S sends both cosets to coset 1
+    plant_enumeration(monkeypatch, ([1, 1], [0, 1], [0, 1]), [0, 1])
     with pytest.raises(RuntimeError, match="^Todd-Coxeter table: S\\^2 is not the identity$"):
+        enumerate_cosets(["S", "U"])
+
+
+def test_unreachable_live_coset_is_an_internal_error(monkeypatch):
+    # both cosets are live and fixed by S and U, so coset 1 is not reached from 0
+    plant_enumeration(monkeypatch, ([0, 1], [0, 1], [0, 1]), [0, 1])
+    with pytest.raises(RuntimeError, match="^incomplete table after enumeration$"):
         enumerate_cosets(["S", "U"])
 
 

@@ -100,10 +100,12 @@ def test_transversal_prefix_closed():
             assert t.trace(0, w) == c
 
 
+PAIRS_TO_24 = [(m, n) for m in range(1, 25) for n in range(1, m + 1) if m % n == 0]
+
+
 def test_reduced_schreier_matches_the_per_coset_rule():
-    pairs = [(m, n) for m in range(1, 25) for n in range(1, m + 1) if m % n == 0]
-    assert len(pairs) == 84
-    for m, n in pairs + [(31, 31), (48, 48)]:
+    assert len(PAIRS_TO_24) == 84
+    for m, n in PAIRS_TO_24 + [(31, 31), (48, 48)]:
         assert_matches_reference(congruence_table(m, n))
 
 
@@ -160,7 +162,14 @@ def test_schreier_generators_fix_base_coset():
         t = congruence_table(m, n)
         for word, elem in schreier_generators(t):
             assert t.trace(0, word) == 0
-            assert word_to_matrix(word) == elem
+
+
+@pytest.mark.parametrize("m,n", PAIRS_TO_24)
+def test_schreier_matrices_multiply_out_their_words(m, n):
+    # word_to_matrix multiplies each witness out letter by letter, apart
+    # from the transversal's integer quadruples
+    for word, elem in schreier_generators(congruence_table(m, n)):
+        assert word_to_matrix(word) == elem
 
 
 def test_schreier_rank_level_two():
