@@ -55,21 +55,25 @@ class FiniteGroup:
         return self.inverse[x]
 
     def closure(self, elements: tuple[int, ...]) -> frozenset[int]:
-        """Subgroup generated by ``elements``.
-
-        Breadth-first from the identity, one layer at a time: each layer
-        is mapped through the table row of every generator (left
-        multiplication), so no product is formed one call at a time.
-        """
-        rows = [self.table[g].__getitem__ for g in set(elements)]
-        seen = {0}
-        layer = seen
-        while layer:
-            reached = set()
-            for row in rows:
-                reached.update(map(row, layer))
-            layer = reached - seen
-            seen |= layer
+        """Subgroup H generated by ``elements``, as left cosets c B of a
+        cyclic subgroup B (Dimino's method): B is the largest <s> over the
+        generators s and the product of the first two, and a product c of
+        a generator and a coset representative outside the cosets found
+        so far adds c B, read off the table row of c.  Past |G|/2, H is G
+        by Lagrange, so only a proper subgroup is listed in full."""
+        table = self.table
+        gens = [s for s in dict.fromkeys(elements) if s]
+        seeds = gens + [table[gens[0]][gens[1]]] if len(gens) > 1 else gens
+        b = max(map(self._powers, seeds), key=len, default=[0])
+        seen, reps, k = set(b), [0], len(table)
+        for r in reps:
+            for s in gens:
+                c = table[s][r]
+                if c not in seen:
+                    seen.update(map(table[c].__getitem__, b))
+                    if 2 * len(seen) > k:
+                        return frozenset(range(k))
+                    reps.append(c)
         return frozenset(seen)
 
     def commutator_subgroup(self) -> frozenset[int]:
@@ -197,7 +201,7 @@ def dihedral(r: int) -> FiniteGroup:
 
 
 def _perm_mul(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def symmetric(s: int) -> FiniteGroup:
@@ -332,9 +336,10 @@ def _generating_pairs(g: FiniteGroup) -> Iterator[Epimorphism]:
     <x, y> depends only on the cyclic subgroups <x> and <y>, so whether
     they generate is kept in a table indexed by pairs of cyclic
     subgroups.  The first time a pair of elements meets an unknown entry,
-    its closure H is computed.  When H is proper, no pair of cyclic
-    subgroups inside H generates, so all of them are marked at once and
-    none is closed again.
+    its closure H is computed; a generating pair is found as soon as H
+    passes |G|/2, while a proper H is listed in full.  When H is proper,
+    no pair of cyclic subgroups inside H generates, so all of them are
+    marked at once and none is closed again.
     """
     k = g.order
     cyclic_id: list[int] = []
@@ -374,7 +379,8 @@ def epi_set(g: FiniteGroup, limit: int | None = None) -> list[Epimorphism]:
 
     Exact: <x, y> is computed at most once per unordered pair of cyclic
     subgroups (<x>, <y>), and not at all for a pair inside a proper
-    subgroup already found.
+    subgroup already found.  Each closure is a coset enumeration over a
+    cyclic subgroup, stopped once it passes |G|/2 (FiniteGroup.closure).
     """
     return list(itertools.islice(_generating_pairs(g), limit))
 

@@ -171,7 +171,6 @@ def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
     of index i; a non-integral or negative value means the table is
     corrupted, and is raised loudly.
     """
-    tr = transversal(t)
     fixed_s = [c for c in range(t.n) if t.s[c] == c]
     fixed_u = [c for c in range(t.n) if t.u[c] == c]
     f2, f3 = len(fixed_s), len(fixed_u)
@@ -181,6 +180,7 @@ def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
             "Euler identity violated (index %d, f2=%d, f3=%d): 6k=%d"
             % (t.n, f2, f3, k6)
         )
+    tr = transversal(t) if fixed_s or fixed_u else ()  # words read at fixed cosets only
     return KuroshDecomposition(
         free_rank=k6 // 6,
         f2=f2,

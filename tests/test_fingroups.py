@@ -396,22 +396,28 @@ def test_from_permutations_points_are_one_based():
 
 # --- epi_set against a brute force ---
 
+def _plain_closure(table, elements):
+    """The subgroup generated by ``elements``: a plain set BFS from the
+    identity under right multiplication, with no early stop."""
+    seen, queue = {0}, [0]
+    for s in queue:
+        for x in elements:
+            t = table[s][x]
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
 @functools.lru_cache(maxsize=None)
 def _brute_force_epis(table):
-    """Every (x, y) whose plain set BFS under right multiplication reaches
-    the whole table."""
+    """Every (x, y) whose plain closure is the whole table."""
     k = len(table)
-    epis = []
-    for x, y in itertools.product(range(k), repeat=2):
-        seen, queue = {0}, [0]
-        for s in queue:
-            for t in (table[s][x], table[s][y]):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        if len(seen) == k:
-            epis.append(Epimorphism(x, y))
-    return epis
+    return [
+        Epimorphism(x, y)
+        for x, y in itertools.product(range(k), repeat=2)
+        if len(_plain_closure(table, (x, y))) == k
+    ]
 
 
 def _cycle_notation(perm):
@@ -478,7 +484,7 @@ def _unpruned_epis(g):
         key = frozenset((cyclic_of[x], cyclic_of[y]))
         ok = generates.get(key)
         if ok is None:
-            ok = generates[key] = len(g.closure((x, y))) == k
+            ok = generates[key] = len(_plain_closure(g.table, (x, y))) == k
         if ok:
             epis.append(Epimorphism(x, y))
     return epis, len(generates)
@@ -491,6 +497,30 @@ def test_epi_set_matches_the_unpruned_scan(spec):
     assert epis == want
     for limit in (0, 1, 2, len(want) // 2, len(want) - 1, len(want) + 1):
         assert epi_set(g, limit=limit) == want[:limit]
+
+
+def test_an_index_2_subgroup_is_not_taken_for_the_group():
+    # the rotations r^i (element i < 60) of dihedral:60 are half the group;
+    # <r^2, r^3> reaches them as two cosets of <r^2>
+    g = dihedral(60)
+    assert g.closure((2, 3)) == frozenset(range(60))
+    assert g.closure((1,)) == frozenset(range(60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_closure_matches_the_plain_closure(data):
+    g, _ = _group_and_epis(data.draw(st.sampled_from(ORACLE_GROUPS)))
+    element = st.integers(0, g.order - 1)
+    elements = data.draw(st.one_of(
+        st.just(()),
+        st.lists(st.just(0), min_size=1, max_size=3),
+        st.lists(element, min_size=1, max_size=2),
+        st.lists(element, min_size=3, max_size=8),
+        # repeats, with the identity among them
+        st.lists(st.sampled_from([0, 1, g.order - 1]), min_size=2, max_size=6),
+    ))
+    assert g.closure(tuple(elements)) == _plain_closure(g.table, elements)
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "dihedral:60"])
