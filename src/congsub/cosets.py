@@ -21,15 +21,17 @@ Every table is valid by construction: ``CosetTable`` refuses columns with
 an image outside 0..n-1, with S^2 or U^3 not the identity, or not
 standard (C. C. Sims, *Computation with Finitely Presented Groups*, 1994):
 scanning the states in order and their columns in order, each state met
-first carries the next number.  ``non_tree_edges`` checks the numbering,
-reading the spanning tree off it, and standard tables are isomorphic
-fixing 0 exactly when equal.  A table the package builds that is refused
-is an internal fault (``RuntimeError``).
+first carries the next number.  ``tree_flags`` is the one walk that checks
+the numbering; it marks the edges of the spanning tree the numbering
+defines, from which ``non_tree_edges`` lists the Schreier generators.
+Standard tables are isomorphic fixing 0 exactly when equal.  A table the
+package builds that is refused is an internal fault (``RuntimeError``).
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
+from operator import itemgetter
 
 from .matgroup import _check_pair, _check_psl_word
 
@@ -48,11 +50,13 @@ class CosetTable:
     """Complete action of S and U on right cosets; coset 0 is the subgroup.
 
     The constructor raises ``ValueError`` unless the columns form a valid
-    table: every image in 0..n-1, S^2 = U^3 = 1 and the numbering standard
-    and transitive (``non_tree_edges``), so every table in existence is
-    valid.  An involution and a map of order 3 of 0..n-1 are permutations.
-    u2, the action of U^2 = U^-1, is derived from u; equality and hash
-    read s and u only."""
+    table, checking in this order: equal nonzero lengths, every image in
+    0..n-1, S^2 = 1, U^3 = 1, and the numbering standard and transitive
+    (``tree_flags``, whose flags it drops), so every table in existence
+    is valid.  An involution and a map of order 3 of 0..n-1 are
+    permutations.  u2, the action of U^2 = U^-1, is derived from u; it
+    and the products S^2 and U^3 are formed by ``itemgetter`` at C
+    level.  Equality and hash read s and u only."""
 
     __slots__ = ("s", "u", "u2")
 
@@ -63,12 +67,16 @@ class CosetTable:
         if min(s) < 0 or min(u) < 0 or max(s) >= n or max(u) >= n:
             raise ValueError("images are not in 0..%d" % (n - 1))
         self.s, self.u = s, u
-        self.u2 = u2 = tuple(map(u.__getitem__, u))
-        if any(s[s[i]] != i for i in range(n)):
-            raise ValueError("S^2 is not the identity")
-        if any(u[u2[i]] != i for i in range(n)):
-            raise ValueError("U^3 is not the identity")
-        non_tree_edges({"S": s, "U": u})
+        if n == 1:  # itemgetter of one index returns the image, not a tuple
+            self.u2 = (0,)
+        else:
+            self.u2 = u2 = itemgetter(*u)(u)
+            identity = tuple(range(n))
+            if itemgetter(*s)(s) != identity:
+                raise ValueError("S^2 is not the identity")
+            if itemgetter(*u2)(u) != identity:
+                raise ValueError("U^3 is not the identity")
+        tree_flags((s, u))
 
     def __eq__(self, other):
         if other.__class__ is not CosetTable:
@@ -169,38 +177,58 @@ def orbit_table(
     return states, {name: tuple(col) for name, col in columns.items()}
 
 
+def tree_flags(cols: Sequence[tuple[int, ...]]) -> bytearray:
+    """One flag per edge (state, column), state-major in column order, set
+    on the n - 1 edges of the breadth-first spanning tree from state 0:
+    an edge into the first state not yet reached is a tree edge.  Raises
+    ``ValueError`` if the states are not numbered breadth-first in column
+    order or the action is not transitive."""
+    flags = bytearray(len(cols) * len(cols[0]))
+    reached, edge = 1, 0
+    for c in range(len(cols[0])):
+        if c == reached:
+            raise ValueError("action is not transitive")
+        for col in cols:
+            d = col[c]
+            if d >= reached:
+                if d > reached:
+                    raise ValueError("states are not numbered breadth-first from state 0")
+                flags[edge] = 1
+                reached += 1
+            edge += 1
+    return flags
+
+
 def non_tree_edges(columns: dict[str, tuple[int, ...]]) -> list[tuple[int, str]]:
     """The edges (state, name) off the breadth-first spanning tree from
     state 0, state-major in column order: (k - 1) * n + 1 of them for k
-    columns on n states.  An edge into the first state not yet reached is
-    a tree edge; raises ``ValueError`` if the states are not numbered
-    breadth-first in column order or the action is not transitive."""
-    named = list(columns.items())
-    edges = []
-    reached = 1
-    for c in range(len(named[0][1])):
-        if c == reached:
-            raise ValueError("action is not transitive")
-        for name, col in named:
-            d = col[c]
-            if d < reached:
-                edges.append((c, name))
-            elif d == reached:
-                reached += 1
-            else:
-                raise ValueError("states are not numbered breadth-first from state 0")
-    return edges
+    columns on n states, read off ``tree_flags``, whose ``ValueError``
+    it raises."""
+    names = list(columns)
+    k = len(names)
+    flags = tree_flags(list(columns.values()))
+    return [(e // k, names[e % k]) for e, tree in enumerate(flags) if not tree]
 
 
 def _row_actions(q: int) -> tuple[list[int], list[int], list[int]]:
     """S, U and negation on the rows (a, b) mod q, each row coded a*q + b:
-    S sends (a, b) to (-b, a), U sends it to (b, b - a)."""
+    S sends (a, b) to (-b, a), U sends it to (b, b - a).  For each a the
+    codes of the images of the rows (a, b), b = 0..q-1, under each map
+    are at most two arithmetic progressions in b, split where a residue
+    wraps mod q, so they are written as ranges."""
     s, u, neg = [], [], []
+    qq, step = q * q, q + 1
     for a in range(q):
-        for b in range(q):
-            s.append(-b % q * q + a)
-            u.append(b * q + (b - a) % q)
-            neg.append(-a % q * q + -b % q)
+        # S: a, then (q - b) * q + a for b = 1..q-1
+        s.append(a)
+        s.extend(range(qq - q + a, a, -q))
+        # U: b * (q + 1) + q - a while b < a, then b * (q + 1) - a
+        u.extend(range(q - a, a * step, step))
+        u.extend(range(a * q, qq + q - a, step))
+        # negation: base, then base + q - b for b = 1..q-1
+        base = -a % q * q
+        neg.append(base)
+        neg.extend(range(base + q - 1, base, -1))
     return s, u, neg
 
 
@@ -219,13 +247,14 @@ def congruence_table(m: int, n: int) -> CosetTable:
     (b, b - a).  The key is one integer, ((a*m + b)*n + c)*n + d for the
     reduced entries: b < m and c*n + d < n^2, so the code orders keys as
     the tuples (a, b, c, d) are ordered, and the smaller code is the
-    smaller sign.  S, U and negation act on the row codes through lists
-    built once per modulus.  Needs no generator words at all, which is
+    smaller sign.  S, U and negation act on the row codes through three
+    lists per modulus, written as ranges by ``_row_actions`` on each
+    call and shared when n == m.  Needs no generator words at all, which is
     what makes it an independent oracle for the Todd-Coxeter path.
     """
     _check_pair(m, n)
     s_m, u_m, neg_m = _row_actions(m)
-    s_n, u_n, neg_n = _row_actions(n)
+    s_n, u_n, neg_n = (s_m, u_m, neg_m) if n == m else _row_actions(n)
     nn = n * n
     r1, r2 = 1 % m * m, 1 % n
     start = min(r1 * nn + r2, neg_m[r1] * nn + neg_n[r2])

@@ -15,6 +15,7 @@ import itertools
 import re
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 
 from .cosets import _checked, orbit_table
 
@@ -123,19 +124,35 @@ def _check_factorial_order(s: int, halve: bool) -> None:
 
 def _build(tag, elements, mul):
     """Cayley table from an explicit element list, of at most
-    MAX_GROUP_ORDER elements; verifies the axioms."""
-    index = {e: i for i, e in enumerate(elements)}
+    MAX_GROUP_ORDER elements; verifies the axioms.  Row x is ``mul``
+    mapped over the pairs (x, y), y in the list, and each product is
+    looked up in the index with one more map, at C level."""
+    index = {e: i for i, e in enumerate(elements)}.__getitem__
     k = len(elements)
-    table = [[0] * k for _ in range(k)]
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            table[i][j] = index[mul(x, y)]
+    return _group(tag, tuple(
+        tuple(map(index, map(mul, itertools.repeat(x, k), elements))) for x in elements
+    ))
+
+
+def _build_perms(tag, perms):
+    """``_build(tag, perms, _perm_mul)`` for a list of permutation tuples,
+    read by columns: x y is ``itemgetter(*y)(x)``, so column y is one
+    itemgetter mapped over the list and no product is a Python call."""
+    if len(perms[0]) == 1:  # itemgetter of one index returns the image, not a tuple
+        return _build(tag, perms, _perm_mul)
+    index = {e: i for i, e in enumerate(perms)}.__getitem__
+    return _group(tag, tuple(zip(*[map(index, map(itemgetter(*y), perms)) for y in perms])))
+
+
+def _group(tag, table):
+    """The group of a Cayley table, once the inverses are read off and
+    the axioms checked."""
     inverse = []
     for i, row in enumerate(table):
         if 0 not in row:
             raise RuntimeError("element %d has no inverse" % i)
         inverse.append(row.index(0))
-    g = FiniteGroup(tag, tuple(tuple(r) for r in table), tuple(inverse))
+    g = FiniteGroup(tag, table, tuple(inverse))
     _check_axioms(g)
     return g
 
@@ -210,7 +227,7 @@ def symmetric(s: int) -> FiniteGroup:
         raise ValueError("s must be positive")
     _check_factorial_order(s, halve=False)
     elems = sorted(itertools.permutations(range(s)))
-    return _build("sym:%d" % s, elems, _perm_mul)
+    return _build_perms("sym:%d" % s, elems)
 
 
 def alternating(s: int) -> FiniteGroup:
@@ -224,7 +241,7 @@ def alternating(s: int) -> FiniteGroup:
         return inv % 2
 
     elems = sorted(p for p in itertools.permutations(range(s)) if parity(p) == 0)
-    return _build("alt:%d" % s, elems, _perm_mul)
+    return _build_perms("alt:%d" % s, elems)
 
 
 def quaternion() -> FiniteGroup:
@@ -287,7 +304,7 @@ def from_permutations(cycle_specs: str) -> FiniteGroup:
                 seen.add(r)
                 queue.append(r)
     elems = [ident] + sorted(seen - {ident})
-    return _build("perm:%s" % cycle_specs, elems, _perm_mul)
+    return _build_perms("perm:%s" % cycle_specs, elems)
 
 
 def _ints(arg: str, count: int) -> list[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterable
+from operator import ne
 
 from .cosets import CosetTable, non_tree_edges
 from .matgroup import (
@@ -171,8 +172,8 @@ def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
     of index i; a non-integral or negative value means the table is
     corrupted, and is raised loudly.
     """
-    fixed_s = [c for c in range(t.n) if t.s[c] == c]
-    fixed_u = [c for c in range(t.n) if t.u[c] == c]
+    fixed_s = [c for c, d in enumerate(t.s) if d == c]
+    fixed_u = [c for c, d in enumerate(t.u) if d == c]
     f2, f3 = len(fixed_s), len(fixed_u)
     k6 = 6 + t.n - 3 * f2 - 4 * f3  # 6k
     if k6 % 6 or k6 < 0:
@@ -191,9 +192,8 @@ def kurosh_decompose(t: CosetTable) -> KuroshDecomposition:
 
 
 def is_free(t: CosetTable) -> bool:
-    return all(t.s[c] != c for c in range(t.n)) and all(
-        t.u[c] != c for c in range(t.n)
-    )
+    """No coset is fixed by S or by U."""
+    return all(map(ne, t.s, range(t.n))) and all(map(ne, t.u, range(t.n)))
 
 
 def free_rank(t: CosetTable) -> int:
@@ -243,18 +243,24 @@ def rewrite_relators(
 
     ``columns`` maps each generator name to its permutation of the states,
     numbered breadth-first from state 0, and ``relators`` are words of
-    (name, +1/-1) tokens.  The ``non_tree_edges`` are the Schreier
-    generators, numbered from 1.  Returns those edges and, relator by
-    relator and for every start state, the relator read from that state as
-    a freely reduced word of signed generator numbers.  Columns not so
-    numbered are an internal fault and raise ``RuntimeError``.
+    (name, +1/-1) tokens.  The ``non_tree_edges``, read off the one
+    numbering walk ``tree_flags``, are the Schreier generators, numbered
+    from 1 state-major; each column gets a list of the numbers of its
+    edges, 0 on the tree, so a token is read with two list lookups.
+    Returns those edges and, relator by relator and for every start
+    state, the relator read from that state as a freely reduced word of
+    signed generator numbers.  Columns not so numbered are an internal
+    fault and raise ``RuntimeError``.
     """
     try:
         edges = non_tree_edges(columns)
     except ValueError as exc:
         raise RuntimeError("coset table: %s" % exc) from exc
-    symbol = {e: k for k, e in enumerate(edges, 1)}
     n = len(next(iter(columns.values())))
+    # the generator number of each edge, one list per column; 0 on the tree
+    symbol = {name: [0] * n for name in columns}
+    for k, (c, name) in enumerate(edges, 1):
+        symbol[name][c] = k
     inverse = {}
     for name, col in columns.items():
         back = [0] * n
@@ -268,11 +274,11 @@ def rewrite_relators(
             out = []
             for name, e in rel:
                 if e == 1:
-                    k = symbol.get((cur, name), 0)
+                    k = symbol[name][cur]
                     cur = columns[name][cur]
                 else:
                     cur = inverse[name][cur]
-                    k = -symbol.get((cur, name), 0)
+                    k = -symbol[name][cur]
                 if k:
                     out.append(k)
             if cur != c:

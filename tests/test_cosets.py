@@ -7,8 +7,10 @@ from congsub.cosets import (
     congruence_table,
     deserialize_table,
     enumerate_cosets,
+    non_tree_edges,
     orbit_table,
     tables_isomorphic,
+    tree_flags,
 )
 from congsub.matgroup import (
     Mat2,
@@ -76,6 +78,66 @@ def test_row_keys_match_the_stabilizer_minimum(m, n):
     # compared outside the assert: a text diff of two large tables takes minutes
     same = congruence_table(m, n).serialize() == stabilizer_minimum_table(m, n).serialize()
     assert same
+
+
+def tuple_key_table(m, n):
+    """Reference congruence table over tuple keys: the coset of (a b; c d)
+    is (a, b, c, d), the first row mod m and the second mod n, under the
+    smaller of the two signs, walked breadth-first in the order S < U by
+    ``orbit_table``, with S and U acting on each row from the right."""
+
+    def key(a, b, c, d):
+        return min((a % m, b % m, c % n, d % n), (-a % m, -b % m, -c % n, -d % n))
+
+    _, cols = orbit_table(key(1, 0, 0, 1), {
+        "S": lambda k: key(-k[1], k[0], -k[3], k[2]),
+        "U": lambda k: key(k[1], k[1] - k[0], k[3], k[3] - k[2]),
+    })
+    return CosetTable(cols["S"], cols["U"])
+
+
+@pytest.mark.parametrize("m,n", list(all_pairs(30)))
+def test_packed_keys_walk_like_tuple_keys(m, n):
+    # compared outside the assert: a text diff of two large tables takes minutes
+    same = congruence_table(m, n) == tuple_key_table(m, n)
+    assert same
+
+
+def test_row_actions_match_the_row_formulas():
+    for q in range(1, 61):
+        rows = [(a, b) for a in range(q) for b in range(q)]
+
+        def code(a, b):
+            return a % q * q + b % q
+
+        assert cosets._row_actions(q) == (
+            [code(-b, a) for a, b in rows],
+            [code(b, b - a) for a, b in rows],
+            [code(-a, -b) for a, b in rows],
+        ), q
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 3), (6, 2), (12, 12)])
+def test_tree_flags_mark_the_tree_edges(m, n):
+    t = congruence_table(m, n)
+    flags = tree_flags((t.s, t.u))
+    assert type(flags) is bytearray and len(flags) == 2 * t.n
+    # a tree edge is the first edge, state-major, into its target
+    seen, first = {0}, []
+    for e, d in enumerate(d for pair in zip(t.s, t.u) for d in pair):
+        if d not in seen:
+            seen.add(d)
+            first.append(e)
+    assert [e for e, tree in enumerate(flags) if tree] == first
+    off_tree = [(e // 2, "SU"[e % 2]) for e, tree in enumerate(flags) if not tree]
+    assert off_tree == non_tree_edges({"S": t.s, "U": t.u})
+
+
+def test_one_coset_table():
+    # itemgetter of one index returns the image, not a tuple
+    t = CosetTable((0,), (0,))
+    assert t == congruence_table(1, 1) and t.u2 == (0,)
+    assert t.column("u") == (0,) and t.trace(0, "SUu") == 0
 
 
 def test_serialize_round_trip():
