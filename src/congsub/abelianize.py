@@ -16,7 +16,6 @@ Three routes produce invariants of finitely generated abelian groups:
 """
 from __future__ import annotations
 
-import heapq
 from collections import namedtuple
 from itertools import compress
 from math import gcd
@@ -67,8 +66,9 @@ def smith_invariants(rows: list[list[int]], n_generators: int) -> AbelianInvaria
     Rows are relations, given as dense lists, and columns are the
     n_generators abelian generators.  The rows are made sparse and passed
     to ``_sparse_smith``, the one kernel: unit-pivot elimination taking
-    the shortest row from a row-keyed queue, then full elementary
-    reduction of the small dense residue, all over unbounded integers.
+    a shortest row from a bucket queue by row length, then full
+    elementary reduction of the small dense residue, all over unbounded
+    integers.
     """
     sparse: list[dict[int, int]] = []
     for r in rows:
@@ -85,16 +85,20 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
 
     Unit-pivot elimination after Havas, Holt & Rees (Recognizing badly
     presented Z-modules, 1993): a ±1 entry clears its column from every
-    other row and removes its row and column.  A heap holds one entry
-    (row length, version, row) per row that has a unit: the shortest row
-    is popped and pivots on its unit entry whose column the fewest rows
-    hold.  A row with no unit leaves the queue; each row a pivot rewrites
-    gets a new version and is pushed once more, and entries of an older
-    version are skipped.  Columns that no live row holds join the free
-    rank, and only the residue (live rows x columns that still occur)
-    goes to ``_dense_smith_diagonal``.  The rows are consumed.  Every
-    builder of sparse rows drops zeros, so a stored 0 is an internal
-    fault (RuntimeError).
+    other row and removes its row and column.  The rows wait in a bucket
+    queue by length, the degree lists of minimum-degree ordering (George
+    & Liu, 1981): ``buckets[k]`` holds the queued rows of length k, and
+    no queued row is shorter than ``low``.  At the start only the rows
+    with a unit are queued.  A row popped from the lowest nonempty
+    bucket pivots on its unit entry whose column the fewest rows hold; a
+    popped row with no unit leaves the queue.  Each row a pivot rewrites
+    moves to the bucket of its new length, or leaves the queue once
+    empty, so a row without a unit rejoins only when a pivot rewrites
+    it.  Columns that no live row holds join the free rank, and only
+    the residue (live rows x columns that still occur) goes to
+    ``_dense_smith_diagonal``.  The rows are consumed.  Every builder of
+    sparse rows drops zeros, so a stored 0 is an internal fault
+    (RuntimeError).
     """
     if not all(map(all, map(dict.values, rows))):
         raise RuntimeError("a sparse row stores a zero")
@@ -102,17 +106,18 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
     for i, r in enumerate(rows):
         for j in r:
             holders.setdefault(j, set()).add(i)
-    version = [0] * len(rows)
-    heap = [
-        (len(r), 0, i) for i, r in enumerate(rows) if 1 in r.values() or -1 in r.values()
-    ]
-    heapq.heapify(heap)
+    buckets: list[set[int]] = [set() for _ in range(max(map(len, rows), default=0) + 1)]
+    for i, r in enumerate(rows):
+        if 1 in r.values() or -1 in r.values():
+            buckets[len(r)].add(i)
     live = [True] * len(rows)
     eliminated = 0
-    while heap:
-        _, ver, pi = heapq.heappop(heap)
-        if ver != version[pi]:
+    low = 1
+    while low < len(buckets):
+        if not buckets[low]:
+            low += 1
             continue
+        pi = buckets[low].pop()
         prow = rows[pi]
         units = [j for j, v in prow.items() if v == 1 or v == -1]
         if not units:
@@ -128,6 +133,7 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
         touched.discard(pi)
         for i in touched:
             r = rows[i]
+            buckets[len(r)].discard(i)  # a no-op unless i is queued
             factor = r.pop(pj) * pv  # multiply by pv = divide by ±1
             for j, v in rest:
                 new = r.get(j, 0) - factor * v
@@ -138,8 +144,13 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
                 else:
                     del r[j]
                     holders[j].discard(i)
-            version[i] += 1
-            heapq.heappush(heap, (len(r), version[i], i))
+            k = len(r)
+            if k:
+                while k >= len(buckets):  # fill-in past every length so far
+                    buckets.append(set())
+                buckets[k].add(i)
+                if k < low:
+                    low = k
     occurring = sorted(j for j, held in holders.items() if held)
     col_pos = {j: k for k, j in enumerate(occurring)}
     dense = []

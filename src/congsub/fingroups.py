@@ -187,7 +187,7 @@ def cyclic(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError("m must be positive")
     _check_order(m)
-    return _build("cyclic:%d" % m, list(range(m)), lambda x, y: (x + y) % m)
+    return _group("cyclic:%d" % m, tuple(_rotations(m, 0)))
 
 
 def abelian(m: int, n: int) -> FiniteGroup:
@@ -195,10 +195,13 @@ def abelian(m: int, n: int) -> FiniteGroup:
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     _check_order(m * n)
-    elems = [(i, j) for i in range(m) for j in range(n)]
-    return _build(
-        "abelian:%d,%d" % (m, n), elems, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n)
-    )
+    # row (i, j) runs over the blocks a = i, i + 1, ... (mod m) of n
+    # indices each, and rotates every block by j
+    blocks = [_rotations(n, a * n) for a in range(m)]
+    return _group("abelian:%d,%d" % (m, n), tuple(
+        tuple(itertools.chain.from_iterable(blocks[a][j] for a in rot))
+        for rot in _rotations(m, 0) for j in range(n)
+    ))
 
 
 def dihedral(r: int) -> FiniteGroup:
@@ -206,15 +209,20 @@ def dihedral(r: int) -> FiniteGroup:
     if r < 1:
         raise ValueError("r must be positive")
     _check_order(2 * r)
-    elems = [(f, i) for f in (0, 1) for i in range(r)]
+    # (f, i) is s^f r^i, index f r + i, with r^i s = s r^-i: row (f, i) is
+    # the rotation by i of its own half, then the rotation by -i of the other
+    halves = (_rotations(r, 0), _rotations(r, r))
+    return _group("dihedral:%d" % r, tuple(
+        halves[f][i] + halves[1 - f][-i % r] for f in (0, 1) for i in range(r)
+    ))
 
-    # (f, i) is s^f r^i with r^i s = s r^-i
-    def mul2(x, y):
-        f1, i1 = x
-        f2, i2 = y
-        return ((f1 + f2) % 2, ((i1 if f2 == 0 else -i1) + i2) % r)
 
-    return _build("dihedral:%d" % r, elems, mul2)
+def _rotations(k: int, start: int) -> list[tuple[int, ...]]:
+    """The k rotations of start, ..., start + k - 1: rotation i begins at
+    start + i, so rotation i of 0..k-1 is row i of the table of Z/k."""
+    return [
+        tuple(range(start + i, start + k)) + tuple(range(start, start + i)) for i in range(k)
+    ]
 
 
 def _perm_mul(p, q):

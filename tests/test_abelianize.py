@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
+from congsub import abelianize, autpres
 from congsub.abelianize import (
     AbelianInvariants,
     PerfectGroupError,
@@ -233,9 +234,78 @@ def test_smith_agrees_with_dense_reduction_alone():
         rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         _scramble(rows, n, rng, 3 * n)
         rows.extend([rng.choice((0, 0, 0, 2, -3)) for _ in range(n)] for _ in range(rng.randint(0, 5)))
-        dense = _dense_smith_diagonal(rows, n)
-        torsion = tuple(d for d in _fix_divisibility([d for d in dense if d > 1]) if d > 1)
-        assert smith_invariants(rows, n) == AbelianInvariants(torsion, n - len(dense))
+        assert smith_invariants(rows, n) == _dense_invariants(rows, n)
+
+
+def _dense_invariants(rows, n):
+    """The oracle that skips the unit pivots: full elementary reduction
+    of the whole dense matrix."""
+    diag = _dense_smith_diagonal(rows, n)
+    torsion = tuple(d for d in _fix_divisibility([d for d in diag if d > 1]) if d > 1)
+    return AbelianInvariants(torsion, n - len(diag))
+
+
+def _densified(rows, n):
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "abelian:2,2", "sym:3", "quaternion", "dihedral:4"])
+def test_sparse_smith_matches_the_dense_oracle_on_relation_rows(spec):
+    g = parse_group_spec(spec)
+    for pi0 in base_points(g):
+        rows, n = autpres.stabilizer_relation_rows(g, pi0)
+        want = _dense_invariants(_densified(rows, n), n)
+        assert _sparse_smith(rows, n) == want, (spec, pi0)
+
+
+@pytest.fixture
+def residues(monkeypatch):
+    """The dense residues that ``_sparse_smith`` hands on, in call order."""
+    seen = []
+    dense = abelianize._dense_smith_diagonal
+
+    def spy(m, n_cols):
+        seen.append([row[:] for row in m])
+        return dense(m, n_cols)
+
+    monkeypatch.setattr(abelianize, "_dense_smith_diagonal", spy)
+    return seen
+
+
+def test_rows_leave_and_rejoin_the_bucket_queue(residues):
+    # Rows by length: a = {0: 1} pivots first and takes the last unit
+    # of r, which moves from bucket 3 to bucket 2 and, popped there with
+    # no unit, leaves the queue.  p and e are equal up to sign, so
+    # whichever of them pivots first empties the other.  q pivots last
+    # (on column 2 or 1, both held twice), and r comes back with a unit
+    # in bucket 3, below q's bucket 4.  Columns 3, 6 and 7 are empty.
+    # Every row pivots or empties, so the residue is empty.
+    a = {0: 1}
+    r = {0: 1, 1: 3, 2: 2}
+    q = {2: 1, 1: 1, 5: 2, 4: 2}
+    p = {8: 1, 9: 2}
+    e = {8: -1, 9: -2}
+    rows = [a, r, q, p, e]
+    want = _dense_invariants(_densified(rows, 10), 10)
+    assert want == AbelianInvariants((), 6)
+    assert _sparse_smith(rows, 10) == want
+    assert residues == [[]]
+
+
+def test_rows_without_a_unit_go_straight_to_the_residue(monkeypatch, residues):
+    # hall's rows at (7, 7): 7 e1, 7 e2 and multiples of 7 from each
+    # generator in Gamma(7, 7), so no entry is a unit
+    handed = []
+    sparse_smith = abelianize._sparse_smith
+
+    def spy(rows, n_cols):
+        handed.extend(dict(r) for r in rows)
+        return sparse_smith(rows, n_cols)
+
+    monkeypatch.setattr(abelianize, "_sparse_smith", spy)
+    assert hall_abelianization(7, 7) == predicted_invariants(7, 7)
+    assert len(handed) > 2 and not any(v in (1, -1) for r in handed for v in r.values())
+    assert residues == [_densified(handed, 2)]
 
 
 def test_free_rank_formula():

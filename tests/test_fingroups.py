@@ -58,6 +58,42 @@ def test_element_orders():
     assert sorted(len(d._powers(x)) for x in range(d.order)) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
+# --- the index-arithmetic Cayley tables against products of elements ---
+
+def _product_table(elements, mul):
+    """Cayley table over the index of each element in the list."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[mul(x, y)] for y in elements) for x in elements)
+
+
+def test_cyclic_tables_match_the_residue_sums():
+    for m in range(1, 25):
+        assert cyclic(m).table == _product_table(list(range(m)), lambda x, y: (x + y) % m), m
+
+
+def test_abelian_tables_match_the_pair_sums():
+    for m in range(1, 121):
+        for n in range(1, 120 // m + 1):
+            elems = [(i, j) for i in range(m) for j in range(n)]
+            want = _product_table(
+                elems, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n)
+            )
+            assert abelian(m, n).table == want, (m, n)
+
+
+def test_dihedral_tables_match_the_reflection_products():
+    for r in range(1, 61):
+        elems = [(f, i) for f in (0, 1) for i in range(r)]
+
+        # (f, i) is s^f r^i with r^i s = s r^-i
+        def mul2(x, y):
+            f1, i1 = x
+            f2, i2 = y
+            return ((f1 + f2) % 2, ((i1 if f2 == 0 else -i1) + i2) % r)
+
+        assert dihedral(r).table == _product_table(elems, mul2), r
+
+
 def test_perfect_detection():
     assert alternating(5).is_perfect()
     assert not alternating(4).is_perfect()
