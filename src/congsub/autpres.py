@@ -22,12 +22,13 @@ Generators of the presentation, all of determinant +1:
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
 
 from .cosets import orbit_table
 from .fingroups import Epimorphism, FiniteGroup, _check_epimorphism
-from .rewriting import exponent_sums, free_reduce, rewrite_relators
+from .rewriting import relation_rows
 
 # --- free group words on x (=1) and y (=2); negatives are inverses ---
 
@@ -35,6 +36,17 @@ Fword = tuple[int, ...]
 
 X: Fword = (1,)
 Y: Fword = (2,)
+
+
+def free_reduce(word: Iterable[int]) -> Fword:
+    """Free reduction of a word of nonzero signed letters (-a inverts a)."""
+    out: list[int] = []
+    for a in word:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
 
 
 def w_mul(*ws: Fword) -> Fword:
@@ -249,8 +261,6 @@ def stabilizer_relation_rows(
     Returns sparse exponent-sum rows ({column: nonzero sum}) over the
     n_syms non-tree Schreier generators of the stabilizer of the pair
     pi0, one row per (relator, state) with the zero rows dropped, and
-    n_syms.
+    n_syms, read off the orbit table by ``relation_rows``.
     """
-    table = signed_coset_table(g, pi0)
-    edges, words = rewrite_relators(table.forward, presentation().relators)
-    return [row for row in exponent_sums(words) if row], len(edges)
+    return relation_rows(signed_coset_table(g, pi0).forward, presentation().relators)

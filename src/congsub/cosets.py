@@ -23,7 +23,7 @@ standard (C. C. Sims, *Computation with Finitely Presented Groups*, 1994):
 scanning the states in order and their columns in order, each state met
 first carries the next number.  ``tree_flags`` is the one walk that checks
 the numbering; it marks the edges of the spanning tree the numbering
-defines, from which ``non_tree_edges`` lists the Schreier generators.
+defines, and the edges it leaves unmarked are the Schreier generators.
 Standard tables are isomorphic fixing 0 exactly when equal.  A table the
 package builds that is refused is an internal fault (``RuntimeError``).
 """
@@ -156,8 +156,8 @@ def orbit_table(
     Returns the states in discovery order and one column per name
     (column ``name`` holds the index of ``step(states[i])`` at position
     i; a permutation when the steps are bijections of the orbit).  The
-    numbering is standard, so ``non_tree_edges`` reads the discovery tree
-    off the columns.
+    numbering is standard, so ``tree_flags`` reads the discovery tree off
+    the columns.
     """
     index = {start: 0}
     states = [start]
@@ -197,17 +197,6 @@ def tree_flags(cols: Sequence[tuple[int, ...]]) -> bytearray:
                 reached += 1
             edge += 1
     return flags
-
-
-def non_tree_edges(columns: dict[str, tuple[int, ...]]) -> list[tuple[int, str]]:
-    """The edges (state, name) off the breadth-first spanning tree from
-    state 0, state-major in column order: (k - 1) * n + 1 of them for k
-    columns on n states, read off ``tree_flags``, whose ``ValueError``
-    it raises."""
-    names = list(columns)
-    k = len(names)
-    flags = tree_flags(list(columns.values()))
-    return [(e // k, names[e % k]) for e, tree in enumerate(flags) if not tree]
 
 
 def _row_actions(q: int) -> tuple[list[int], list[int], list[int]]:

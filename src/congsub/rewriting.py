@@ -11,9 +11,10 @@ elimination would drop the highest-numbered non-tree edge of each cycle
 of length 2 or 3 and keep each edge at a fixed point with the relator g^2
 or g^3.  Transversal words are in normal form in Z/2 * Z/3, so a witness
 tr[c] x tr[x(c)]^-1 is reduced only where its parts meet.  The relator
-rewriter ``rewrite_relators`` and ``free_reduce`` work over any table of
-named permutation columns numbered breadth-first, reading the spanning
-tree off the numbering; the Aut+(F2) route uses them.
+rewriter ``relation_rows`` works over any table of named permutation
+columns numbered breadth-first, reading the spanning tree off the
+numbering, and returns the abelianized relation rows only; the Aut+(F2)
+route uses it.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable
 from operator import ne
 
-from .cosets import CosetTable, non_tree_edges
+from .cosets import CosetTable, tree_flags
 from .matgroup import (
     _PSL_INVERSE,
     _PSL_LETTERS,
@@ -224,80 +225,61 @@ class SubgroupPresentation(namedtuple("SubgroupPresentation", "witnesses relator
         return len(self.witnesses)
 
 
-def free_reduce(word: Iterable[int]) -> tuple[int, ...]:
-    """Free reduction of a word of nonzero signed letters (-a inverts a)."""
-    out: list[int] = []
-    for a in word:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def rewrite_relators(
+def relation_rows(
     columns: dict[str, tuple[int, ...]],
     relators: Iterable[tuple[tuple[str, int], ...]],
-) -> tuple[list[tuple[int, str]], list[tuple[int, ...]]]:
-    """Reidemeister-Schreier rewriting of relators through a coset table.
+) -> tuple[list[dict[int, int]], int]:
+    """Abelianized Reidemeister-Schreier rewriting through a coset table.
 
     ``columns`` maps each generator name to its permutation of the states,
     numbered breadth-first from state 0, and ``relators`` are words of
-    (name, +1/-1) tokens.  The ``non_tree_edges``, read off the one
-    numbering walk ``tree_flags``, are the Schreier generators, numbered
-    from 1 state-major; each column gets a list of the numbers of its
-    edges, 0 on the tree, so a token is read with two list lookups.
-    Returns those edges and, relator by relator and for every start
-    state, the relator read from that state as a freely reduced word of
-    signed generator numbers.  Columns not so numbered are an internal
-    fault and raise ``RuntimeError``.
+    (name, +1/-1) tokens.  The Schreier generators are the edges that the
+    numbering walk ``tree_flags`` leaves off the tree, numbered
+    state-major in column order, 0 on the tree; a token is read with two
+    list lookups.  Each relator is read from every state straight into
+    its exponent sums, which free reduction would not change, so no word
+    is built.  Returns the nonzero rows ({0-based generator: sum}, in
+    order of first occurrence, relator-major) and the number of
+    generators.  Columns not so numbered, or a relator that does not
+    close, are an internal fault and raise ``RuntimeError``.
     """
+    cols = list(columns.values())
     try:
-        edges = non_tree_edges(columns)
+        flags = tree_flags(cols)
     except ValueError as exc:
         raise RuntimeError("coset table: %s" % exc) from exc
-    n = len(next(iter(columns.values())))
-    # the generator number of each edge, one list per column; 0 on the tree
-    symbol = {name: [0] * n for name in columns}
-    for k, (c, name) in enumerate(edges, 1):
-        symbol[name][c] = k
-    inverse = {}
-    for name, col in columns.items():
-        back = [0] * n
-        for src, dst in enumerate(col):
-            back[dst] = src
-        inverse[name] = back
-    words = []
+    n, k = len(cols[0]), len(cols)
+    number = [0] * len(flags)
+    n_syms = 0
+    for e, tree in enumerate(flags):
+        if not tree:
+            n_syms += 1
+            number[e] = n_syms
+    # per token (name, e): the column it moves by and the number of the
+    # edge it crosses, indexed by the state it leaves
+    steps = {}
+    for i, (name, col) in enumerate(columns.items()):
+        symbol = number[i::k]
+        back = sorted(range(n), key=col.__getitem__)
+        steps[name, 1] = (col, symbol, 1)
+        steps[name, -1] = (back, [symbol[src] for src in back], -1)
+    rows = []
     for rel in relators:
+        walk = [steps[tok] for tok in rel]
         for c in range(n):
             cur = c
-            out = []
-            for name, e in rel:
-                if e == 1:
-                    k = symbol[name][cur]
-                    cur = columns[name][cur]
-                else:
-                    cur = inverse[name][cur]
-                    k = -symbol[name][cur]
-                if k:
-                    out.append(k)
+            sums: dict[int, int] = {}
+            for col, symbol, e in walk:
+                j = symbol[cur]
+                cur = col[cur]
+                if j:
+                    sums[j] = sums.get(j, 0) + e
             if cur != c:
                 raise RuntimeError("relator %r does not close at state %d" % (rel, c))
-            words.append(free_reduce(out))
-    return edges, words
-
-
-def exponent_sums(words: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
-    """Exponent sums of words of signed 1-based generator numbers, one
-    sparse row {0-based column: nonzero sum} per word."""
-    rows = []
-    for word in words:
-        sums: dict[int, int] = {}
-        for k in word:
-            j = abs(k) - 1
-            sums[j] = sums.get(j, 0) + (1 if k > 0 else -1)
-        rows.append({j: v for j, v in sums.items() if v})
-    return rows
+            row = {j - 1: v for j, v in sums.items() if v}
+            if row:
+                rows.append(row)
+    return rows, n_syms
 
 
 def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
@@ -371,9 +353,9 @@ def abelianized_relation_matrix(p: SubgroupPresentation) -> list[list[int]]:
     """Exponent-sum rows of the relators, one dense row with a column per
     generator."""
     rows = []
-    for sums in exponent_sums(p.relators):
+    for rel in p.relators:
         row = [0] * p.n_generators
-        for j, v in sums.items():
-            row[j] = v
+        for k in rel:
+            row[abs(k) - 1] += 1 if k > 0 else -1
         rows.append(row)
     return rows

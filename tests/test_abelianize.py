@@ -441,3 +441,17 @@ def test_a_pair_that_does_not_generate_is_refused(route):
     # (2, 2) generates the subgroup of order 2 of Z/4
     with pytest.raises(ValueError, match="^pi0 is not an epimorphism onto the group$"):
         route(cyclic(4), Epimorphism(2, 2))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [full_abelianization, image_abelianization, orbit_stabilizer, autpres.signed_coset_table],
+)
+@pytest.mark.parametrize("pair", [(-1, 1), (6, 0), (0, 6)])
+def test_an_element_index_outside_the_group_is_refused(route, pair, monkeypatch):
+    # a negative index would read the Cayley table from its end, and the
+    # pair is refused before any closure is taken
+    g = symmetric(3)
+    monkeypatch.setattr(type(g), "closure", lambda *_: pytest.fail("closure taken"))
+    with pytest.raises(ValueError, match="^pi0 has an element index outside 0\\.\\.5$"):
+        route(g, Epimorphism(*pair))

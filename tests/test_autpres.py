@@ -14,6 +14,7 @@ from congsub.autpres import (
     conjugation_by,
     evaluate,
     find_conjugator,
+    free_reduce,
     presentation,
     signed_coset_table,
     stabilizer_relation_rows,
@@ -27,7 +28,7 @@ from congsub.autpres import (
     _tok_inv,
 )
 from congsub.cli import VERDICT_SPECS
-from congsub.cosets import non_tree_edges, orbit_table
+from congsub.cosets import orbit_table, tree_flags
 from congsub.fingroups import (
     abelian,
     cyclic,
@@ -38,7 +39,8 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
-from congsub.rewriting import exponent_sums, free_reduce, rewrite_relators
+from congsub.rewriting import relation_rows
+from rewriting_reference import reference_relation_rows, reference_tree_edges, rewrite_relators
 
 # the basis swap x <-> y, of determinant -1: it lies outside Aut+(F2)
 J = (Y, X)
@@ -159,7 +161,10 @@ def test_signed_table_columns_are_permutations():
 def test_tree_is_spanning():
     g = dihedral(4)
     table = signed_coset_table(g, epi_set(g)[0])
-    assert len(non_tree_edges(table.forward)) == table.n * len(GENS) - (table.n - 1)
+    flags = tree_flags(list(table.forward.values()))
+    assert len(flags) == table.n * len(GENS) and sum(flags) == table.n - 1
+    tree = {(e // len(GENS), GENS[e % len(GENS)]) for e, f in enumerate(flags) if f}
+    assert tree == reference_tree_edges(table.forward)
 
 
 def test_relation_rows_shape():
@@ -172,6 +177,28 @@ def test_relation_rows_shape():
     for row in rows:
         assert row
         assert all(j in range(n_syms) and v for j, v in row.items())
+
+
+@pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
+def test_relation_rows_match_the_word_reference(g):
+    # rows summed straight off the orbit table equal the exponent sums of
+    # the rewritten, freely reduced words, in the same key order
+    for pi0 in _first_middle_last(g):
+        rows, n_syms = stabilizer_relation_rows(g, pi0)
+        columns = signed_coset_table(g, pi0).forward
+        want_rows, want_n = reference_relation_rows(columns, presentation().relators)
+        assert n_syms == want_n
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in want_rows]
+
+
+def test_relation_rows_refuse_a_relator_with_a_token_dropped():
+    g = symmetric(3)
+    columns = signed_coset_table(g, epi_set(g)[0]).forward
+    rel = presentation().relators[0]
+    with pytest.raises(RuntimeError, match="^relator .* does not close at state 0$"):
+        relation_rows(columns, [rel[1:]])
+    with pytest.raises(RuntimeError, match="^relator .* does not close at state 0$"):
+        rewrite_relators(columns, [rel[1:]])
 
 
 def _act_on_pair(g, f, state):
@@ -276,9 +303,8 @@ def signed_abelianization(g, pi0):
     states, forward = orbit_table(
         (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
     )
-    edges, words = rewrite_relators(forward, signed_relators())
-    rows = [row for row in exponent_sums(words) if row]
-    return _sparse_smith(rows, len(edges)), len(states)
+    rows, n_syms = reference_relation_rows(forward, signed_relators())
+    return _sparse_smith(rows, n_syms), len(states)
 
 
 @pytest.mark.parametrize("spec", VERDICT_SPECS)

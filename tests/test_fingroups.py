@@ -12,9 +12,9 @@ from congsub.cosets import (
     CosetTable,
     congruence_table,
     enumerate_cosets,
-    non_tree_edges,
     orbit_table,
     tables_isomorphic,
+    tree_flags,
 )
 from congsub.fingroups import (
     LIFTS,
@@ -234,8 +234,10 @@ def signed_orbit(g: FiniteGroup, pi0: Epimorphism) -> SignedOrbit:
         {x: (lambda s, x=x: act(g, x, s)) for x in AUT_LETTERS},
     )
     # tree word and its abelianized action per state, built along the
-    # discovery tree: the edges that non_tree_edges leaves, in scan order
-    off_tree = set(non_tree_edges(columns))
+    # discovery tree: the edges that tree_flags leaves unset, in scan order
+    k = len(AUT_LETTERS)
+    flags = tree_flags([columns[x] for x in AUT_LETTERS])
+    off_tree = {(e // k, AUT_LETTERS[e % k]) for e, f in enumerate(flags) if not f}
     words = [""] * len(states)
     mats = [(1, 0, 0, 1)] * len(states)
     for i in range(len(states)):

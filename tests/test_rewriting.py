@@ -11,9 +11,9 @@ from congsub.cosets import (
     CosetTable,
     congruence_table,
     enumerate_cosets,
-    non_tree_edges,
     orbit_table,
     tables_isomorphic,
+    tree_flags,
 )
 from congsub.fingroups import epi_set, parse_group_spec
 from congsub.matgroup import (
@@ -28,15 +28,15 @@ from congsub.rewriting import (
     _reduced_schreier,
     _schreier_tree,
     abelianized_relation_matrix,
-    exponent_sums,
     free_rank,
     is_free,
     kurosh_decompose,
-    rewrite_relators,
+    relation_rows,
     schreier_generators,
     subgroup_presentation,
     transversal,
 )
+from rewriting_reference import reference_relation_rows, reference_tree_edges
 
 # S^2 and U^3 as words of (generator, exponent) tokens
 S_SQUARED = (("S", 1),) * 2
@@ -126,35 +126,21 @@ def relabel(columns, p):
     return new
 
 
-def reference_tree_edges(columns):
-    """The discovery edges of a breadth-first search from state 0 that
-    explores each state's columns in order."""
-    seen, queue, tree = {0}, deque([0]), set()
-    while queue:
-        c = queue.popleft()
-        for name, col in columns.items():
-            if col[c] not in seen:
-                seen.add(col[c])
-                tree.add((c, name))
-                queue.append(col[c])
-    return tree
-
-
-def assert_non_tree_edges_contract(columns, relabellings):
-    """non_tree_edges returns (k - 1) n + 1 edges, state-major in column
-    order, whose complement is the breadth-first tree; and a transitive
+def assert_tree_flags_contract(columns, relabellings):
+    """tree_flags sets n - 1 of its k n flags, state-major in column
+    order, on exactly the breadth-first tree's edges, so the other
+    (k - 1) n + 1 edges are the Schreier generators; and a transitive
     action has no nontrivial automorphism fixing state 0, so each
     nontrivial relabelling fixing state 0 is refused."""
     n, names = len(next(iter(columns.values()))), list(columns)
-    edges = non_tree_edges(columns)
-    assert len(edges) == (len(names) - 1) * n + 1
-    assert edges == sorted(edges, key=lambda e: (e[0], names.index(e[1])))
-    everything = {(c, name) for c in range(n) for name in names}
-    assert everything - set(edges) == reference_tree_edges(columns)
+    flags = tree_flags(list(columns.values()))
+    assert len(flags) == len(names) * n and sum(flags) == n - 1
+    tree = {(e // len(names), names[e % len(names)]) for e, f in enumerate(flags) if f}
+    assert tree == reference_tree_edges(columns)
     for p in relabellings:
         if list(p) != list(range(n)):
             with pytest.raises(ValueError, match="^states are not numbered breadth-first"):
-                non_tree_edges(relabel(columns, p))
+                tree_flags(list(relabel(columns, p).values()))
 
 
 def test_schreier_generators_fix_base_coset():
@@ -301,9 +287,21 @@ def test_presentation_has_kurosh_shape(t):
     assert_matches_reference(t)
     # oracle: the unreduced Reidemeister-Schreier presentation, S^2 and U^3
     # rewritten from every coset, has the same abelianization
-    edges, rels = rewrite_relators({"S": t.s, "U": t.u}, (S_SQUARED, U_CUBED))
-    unreduced = _sparse_smith(exponent_sums(rels), len(edges))
+    rows, n_syms = relation_rows({"S": t.s, "U": t.u}, (S_SQUARED, U_CUBED))
+    unreduced = _sparse_smith(rows, n_syms)
     assert unreduced == smith_invariants(abelianized_relation_matrix(p), p.n_generators)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables())
+def test_relation_rows_match_the_word_reference(t):
+    # rows summed straight off the table equal the exponent sums of the
+    # rewritten, freely reduced words, in the same key order
+    columns = {"S": t.s, "U": t.u}
+    rows, n_syms = relation_rows(columns, (S_SQUARED, U_CUBED))
+    want_rows, want_n = reference_relation_rows(columns, (S_SQUARED, U_CUBED))
+    assert n_syms == want_n == t.n + 1
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in want_rows]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -325,8 +323,9 @@ def test_schreier_matrices_are_their_witnesses(t):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(transitive_tables(), st.data())
 def test_non_tree_edges_reads_the_breadth_first_tree(t, data):
+    # the non-tree edges are the ones tree_flags leaves unset
     p = [0] + data.draw(st.permutations(range(1, t.n)))
-    assert_non_tree_edges_contract({"S": t.s, "U": t.u}, [p])
+    assert_tree_flags_contract({"S": t.s, "U": t.u}, [p])
 
 
 @pytest.mark.parametrize("spec", ["cyclic:2", "sym:3", "dihedral:4"])
@@ -339,14 +338,14 @@ def test_non_tree_edges_of_pair_orbit_tables(spec):
         p = list(range(table.n))
         p[i], p[j] = j, i
         swaps.append(p)
-    assert_non_tree_edges_contract(table.forward, swaps)
+    assert_tree_flags_contract(table.forward, swaps)
 
 
 def test_rewriting_refuses_renumbered_columns():
     t = congruence_table(3, 3)
     columns = relabel({"S": t.s, "U": t.u}, [0, 2, 1] + list(range(3, t.n)))
-    with pytest.raises(RuntimeError, match="states are not numbered breadth-first"):
-        rewrite_relators(columns, (S_SQUARED, U_CUBED))
+    with pytest.raises(RuntimeError, match="^coset table: states are not numbered breadth-first"):
+        relation_rows(columns, (S_SQUARED, U_CUBED))
 
 
 @st.composite
