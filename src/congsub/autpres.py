@@ -125,28 +125,21 @@ GEN_AUT: dict[str, Aut] = {
     # b = P O P R^-1 P, an order-6 element with b^3 = s^2
     "b": a_compose(a_compose(a_compose(a_compose(_P, _O), _P), _R_INV), _P),
 }
+# each generator's explicit inverse
+GEN_AUT_INV: dict[str, Aut] = {
+    "ax": conjugation_by(w_inv(X)),
+    "ay": conjugation_by(w_inv(Y)),
+    "s": a_compose(_O, _P),
+    "b": a_compose(a_compose(a_compose(a_compose(_P, _R), _P), _O), _P),
+}
 
 Token = tuple[str, int]  # generator name, exponent +1 / -1
 TokenWord = tuple[Token, ...]
 
 
-@lru_cache(maxsize=None)
-def _gen_aut_inv(name: str) -> Aut:
-    # each generator has an explicit inverse
-    if name == "ax":
-        return conjugation_by(w_inv(X))
-    if name == "ay":
-        return conjugation_by(w_inv(Y))
-    if name == "s":
-        return a_compose(_O, _P)
-    if name == "b":
-        return a_compose(a_compose(a_compose(a_compose(_P, _R), _P), _O), _P)
-    raise ValueError(name)
-
-
 def token_aut(tok: Token) -> Aut:
     name, e = tok
-    return GEN_AUT[name] if e == 1 else _gen_aut_inv(name)
+    return (GEN_AUT if e == 1 else GEN_AUT_INV)[name]
 
 
 def evaluate(word: TokenWord) -> Aut:

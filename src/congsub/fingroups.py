@@ -351,8 +351,9 @@ Epimorphism = namedtuple("Epimorphism", "gx gy")
 
 def _check_epimorphism(g: FiniteGroup, pi0: Epimorphism) -> None:
     """Refuse a pair that is not two elements of g generating it: bad
-    input, a ValueError, raised before any closure."""
-    if not (0 <= pi0.gx < g.order and 0 <= pi0.gy < g.order):
+    input, a ValueError, raised before any closure.  An entry that is not
+    an int is no element index either."""
+    if not all(isinstance(v, int) and 0 <= v < g.order for v in (pi0.gx, pi0.gy)):
         raise ValueError("pi0 has an element index outside 0..%d" % (g.order - 1))
     if len(g.closure((pi0.gx, pi0.gy))) != g.order:
         raise ValueError("pi0 is not an epimorphism onto the group")

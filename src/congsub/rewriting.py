@@ -5,20 +5,21 @@ transversal, a subgroup presentation whose witnesses are the reduced
 Schreier generating set, and the free-product decomposition data (free
 rank plus the counts of order-2 and order-3 factors, read off from fixed
 points of the S and U actions).  The presentation is read off the S- and
-U-cycles in one scan that walks each cycle once: a non-tree edge occurs
-only in the rewritten S^2 or U^3 read around its own cycle, so Tietze
-elimination would drop the highest-numbered non-tree edge of each cycle
-of length 2 or 3 and keep each edge at a fixed point with the relator g^2
-or g^3.  Transversal words are in normal form in Z/2 * Z/3, so a witness
-tr[c] x tr[x(c)]^-1 is reduced only where its parts meet.  The relator
-rewriter ``relation_rows`` works over any table of named permutation
-columns numbered breadth-first, reading the spanning tree off the
-numbering, and returns the abelianized relation rows only; the Aut+(F2)
-route uses it.
+U-cycles by a rule read at each coset: a non-tree edge occurs only in
+the rewritten S^2 or U^3 read around its own cycle, so Tietze elimination
+would drop the highest-numbered non-tree edge of each cycle of length 2
+or 3 and keep each edge at a fixed point with the relator g^2 or g^3.  A
+non-tree edge (c, x) off a fixed point is thus kept exactly when another
+coset of its x-cycle is off the tree and higher.  Transversal words are
+in normal form in Z/2 * Z/3, so a witness tr[c] x tr[x(c)]^-1 is reduced
+only where its parts meet.  The relator rewriter ``relation_rows`` works
+over any table of named permutation columns numbered breadth-first,
+reading the spanning tree off the numbering, and returns the abelianized
+relation rows only; the Aut+(F2) route uses it.
 """
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable
 from operator import ne
 
@@ -56,9 +57,8 @@ def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]
     words[0] = ""
     in_s, in_u = bytearray(t.n), bytearray(t.n)
     steps = (("S", t.s, in_s, False), ("U", t.u, in_u, False), ("u", t.u2, in_u, True))
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
+    queue = [0]
+    for c in queue:  # the list grows as it is read: a FIFO without pops
         for letter, col, flags, at_target in steps:
             d = col[c]
             if words[d] is None:
@@ -305,47 +305,39 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     return SubgroupPresentation(witnesses, tuple(relators))
 
 
-# marks of a coset whose x-cycle has been walked
-_SEEN, _DROPPED = 1, 2
-
-
 def _reduced_schreier(
     t: CosetTable,
 ) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]]]:
     """The transversal, the non-tree edges (coset, letter) that the
     presentation keeps as generators and its torsion relators over them.
 
-    Cosets are scanned in increasing order, S before U.  Each x-cycle is
-    walked once, from its lowest coset; S^2 and U^3 close in every table,
-    so a cycle has length 1 or the order of x.  The walk marks the cycle
-    as seen and its highest non-tree coset as dropped, so each later
-    coset on it only reads its two flags.
+    S^2 and U^3 close in every table, so the x-cycle of a coset c has
+    length 1 or the order of x.  A fixed point of S (of U) is kept with
+    its relator g^2 (g^3).  Otherwise (c, x) is kept when it is off the
+    tree and another coset of its cycle, s(c) for S and u(c) or u^2(c)
+    for U, is off the tree and higher: that drops exactly the highest
+    non-tree coset of each cycle.  Cosets are scanned in increasing
+    order, S before U.
     """
     tr, tree = _schreier_tree(t)
+    in_s, in_u = tree["S"], tree["U"]
+    s_col, u_col, u2_col = t.s, t.u, t.u2
     edges: list[tuple[int, str]] = []
     squares: list[tuple[int, ...]] = []
     cubes: list[tuple[int, ...]] = []
-    walks = [
-        (x, t.column(x), order, tree[x], bytearray(t.n), torsion)
-        for x, order, torsion in (("S", 2, squares), ("U", 3, cubes))
-    ]
     for c in range(t.n):
-        for x, col, order, in_tree, mark, torsion in walks:
-            if not mark[c]:
-                if col[c] == c:
-                    edges.append((c, x))
-                    torsion.append((len(edges),) * order)
-                    continue
-                d, drop = c, -1
-                for _ in range(order):
-                    mark[d] = _SEEN
-                    if d > drop and not in_tree[d]:
-                        drop = d
-                    d = col[d]
-                if drop >= 0:
-                    mark[drop] = _DROPPED
-            if mark[c] == _SEEN and not in_tree[c]:
-                edges.append((c, x))
+        d = s_col[c]
+        if d == c:
+            edges.append((c, "S"))
+            squares.append((len(edges),) * 2)
+        elif not in_s[c] and d > c and not in_s[d]:
+            edges.append((c, "S"))
+        d, e = u_col[c], u2_col[c]
+        if d == c:
+            edges.append((c, "U"))
+            cubes.append((len(edges),) * 3)
+        elif not in_u[c] and (d > c and not in_u[d] or e > c and not in_u[e]):
+            edges.append((c, "U"))
     return tr, edges, squares + cubes
 
 

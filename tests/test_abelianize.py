@@ -447,10 +447,11 @@ def test_a_pair_that_does_not_generate_is_refused(route):
     "route",
     [full_abelianization, image_abelianization, orbit_stabilizer, autpres.signed_coset_table],
 )
-@pytest.mark.parametrize("pair", [(-1, 1), (6, 0), (0, 6)])
+@pytest.mark.parametrize("pair", [(-1, 1), (6, 0), (0, 6), (1.0, 2), (2, 1.0)])
 def test_an_element_index_outside_the_group_is_refused(route, pair, monkeypatch):
-    # a negative index would read the Cayley table from its end, and the
-    # pair is refused before any closure is taken
+    # a negative index would read the Cayley table from its end, a float
+    # would reach it as a bad index, and the pair is refused before any
+    # closure is taken
     g = symmetric(3)
     monkeypatch.setattr(type(g), "closure", lambda *_: pytest.fail("closure taken"))
     with pytest.raises(ValueError, match="^pi0 has an element index outside 0\\.\\.5$"):

@@ -69,8 +69,8 @@ def reference_reduced_schreier(t):
 
 
 def assert_matches_reference(t):
-    """The cycle walk keeps the reference's edges and relators, and each
-    witness, reduced at its junctions, is the full normal form."""
+    """``_reduced_schreier`` keeps the reference's edges and relators, and
+    each witness, reduced at its junctions, is the full normal form."""
     tr, edges, relators = _reduced_schreier(t)
     assert (edges, relators) == reference_reduced_schreier(t)
     for w, (c, x) in zip(subgroup_presentation(t).witnesses, edges, strict=True):
