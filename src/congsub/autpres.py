@@ -2,29 +2,33 @@
 the rank-2 free group, and Reidemeister-Schreier rewriting of stabilizer
 subgroups through it.
 
-The group of automorphisms acting trivially on the abelianization is
-inner for rank 2, free on the conjugations by the two basis letters.  The
-automorphisms of determinant +1 therefore form an extension of SL2(Z) by
-that free group, and a presentation can be assembled mechanically: take
-the amalgam presentation Z/4 *_{Z/2} Z/6 of SL2(Z) (the determinant +1
-part of the GL2(Z) amalgam of dihedral groups of order 8 and 12 glued
-over a Klein four-group), lift each relator to an explicit automorphism,
-and express the resulting inner automorphism as a word in the two basic
-conjugations.  Every relator produced this way is verified to evaluate
-to the identity automorphism, exactly, at build time.
+Aut+(F2), the automorphisms of determinant +1, is the braid group B4
+modulo its center (Dyer, Formanek & Grossman, Arch. Math. 38, 1982).  So
+it has the presentation of B4 on three generators with the center's
+generator (t1 t2 t3)^4 killed:
 
-Generators of the presentation, all of determinant +1:
+    [t1, t3],  t1 t2 t1 = t2 t1 t2,  t2 t3 t2 = t3 t2 t3,  (t1 t2 t3)^4
 
-    ax, ay : conjugation by x, by y
-    s      : x -> y^-1, y -> x         (the order-4 rotation)
-    b      : order-6 element with b^3 = s^2
+where the braid generators act as the automorphisms
+
+    t1 : x -> x,      y -> y x
+    t2 : x -> x y^-1, y -> y
+    t3 : x -> x,      y -> x y
+
+The relators hold in Aut+(F2), which is checked exactly at build time,
+and t1, t2, t3 generate Aut+(F2): the conjugations by x and by y, the
+rotation x -> y^-1, y -> x and the order-6 element x -> y^-1, y -> x y,
+which together generate it, are words of length 2 to 6 in them (checked
+in the tests).  So they define a surjection from B4/Z(B4) onto Aut+(F2).
+Aut(F2) is residually finite (Baumslag 1963), so its finitely generated
+subgroup Aut+(F2) is Hopfian (Mal'cev 1940); as B4/Z(B4) is isomorphic to
+it, that surjection is an isomorphism.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import chain
 
 from .cosets import orbit_table
 from .fingroups import Epimorphism, FiniteGroup, _check_epimorphism
@@ -47,10 +51,6 @@ def free_reduce(word: Iterable[int]) -> Fword:
         else:
             out.append(a)
     return tuple(out)
-
-
-def w_mul(*ws: Fword) -> Fword:
-    return free_reduce(chain.from_iterable(ws))
 
 
 def w_inv(w: Fword) -> Fword:
@@ -79,88 +79,31 @@ def a_compose(f: Aut, g: Aut) -> Aut:
     return (a_apply(f, g[0]), a_apply(f, g[1]))
 
 
-def conjugation_by(w: Fword) -> Aut:
-    return (w_mul(w, X, w_inv(w)), w_mul(w, Y, w_inv(w)))
+# --- presentation generators: the braid generators of B4 ---
 
-
-def find_conjugator(f: Aut) -> Fword | None:
-    """The unique w with f = conjugation by w, or None if f is not inner.
-
-    Writing w = p * x^k with p not ending in a power of x, the image of x
-    is exactly p x p^-1, which pins down p; k is then read off from the
-    image of y.
-    """
-    wx, wy = f
-    if len(wx) % 2 == 0 or wx[len(wx) // 2] != 1:
-        return None
-    p = wx[: len(wx) // 2]
-    v = w_mul(w_inv(p), wy, p)  # should be x^k y x^-k
-    ys = [i for i, a in enumerate(v) if abs(a) == 2]
-    if len(ys) != 1 or v[ys[0]] != 2:
-        return None
-    k = ys[0]
-    if v != (1,) * k + (2,) + (-1,) * k and v != (-1,) * k + (2,) + (1,) * k:
-        return None
-    if k and v[0] == -1:
-        k = -k
-    w = w_mul(p, (1,) * k if k >= 0 else (-1,) * (-k))
-    if conjugation_by(w) != f:
-        return None
-    return w
-
-
-# --- presentation generators ---
-
-GENS = ("ax", "ay", "s", "b")
-
-_P: Aut = (Y, X)
-_O: Aut = (w_inv(X), Y)
-_R: Aut = (w_mul(X, Y), Y)
-_R_INV: Aut = (w_mul(X, w_inv(Y)), Y)
+GENS = ("t1", "t2", "t3")
 
 GEN_AUT: dict[str, Aut] = {
-    "ax": conjugation_by(X),
-    "ay": conjugation_by(Y),
-    "s": a_compose(_P, _O),
-    # b = P O P R^-1 P, an order-6 element with b^3 = s^2
-    "b": a_compose(a_compose(a_compose(a_compose(_P, _O), _P), _R_INV), _P),
+    "t1": ((1,), (2, 1)),
+    "t2": ((1, -2), (2,)),
+    "t3": ((1,), (1, 2)),
 }
 # each generator's explicit inverse
 GEN_AUT_INV: dict[str, Aut] = {
-    "ax": conjugation_by(w_inv(X)),
-    "ay": conjugation_by(w_inv(Y)),
-    "s": a_compose(_O, _P),
-    "b": a_compose(a_compose(a_compose(a_compose(_P, _R), _P), _O), _P),
+    "t1": ((1,), (2, -1)),
+    "t2": ((1, 2), (2,)),
+    "t3": ((1,), (-1, 2)),
 }
 
 Token = tuple[str, int]  # generator name, exponent +1 / -1
 TokenWord = tuple[Token, ...]
 
 
-def token_aut(tok: Token) -> Aut:
-    name, e = tok
-    return (GEN_AUT if e == 1 else GEN_AUT_INV)[name]
-
-
 def evaluate(word: TokenWord) -> Aut:
     f = AUT_ID
-    for tok in word:
-        f = a_compose(f, token_aut(tok))
+    for name, e in word:
+        f = a_compose(f, (GEN_AUT if e == 1 else GEN_AUT_INV)[name])
     return f
-
-
-def _tok_inv(word: TokenWord) -> TokenWord:
-    return tuple((name, -e) for name, e in reversed(word))
-
-
-def _alpha_word(w: Fword) -> TokenWord:
-    """Conjugation by w as a word in ax, ay."""
-    return tuple(("ax" if abs(a) == 1 else "ay", 1 if a > 0 else -1) for a in w)
-
-
-def _pow(name: str, k: int) -> TokenWord:
-    e = 1 if k >= 0 else -1
-    return ((name, e),) * abs(k)
 
 
 Presentation = namedtuple("Presentation", "relators")
@@ -168,35 +111,21 @@ Presentation = namedtuple("Presentation", "relators")
 
 @lru_cache(maxsize=None)
 def presentation() -> Presentation:
-    """Finite presentation of Aut+(F2): 4 generators, 7 relators.
-
-    Quotient relators (images generate SL2(Z) with the amalgam relations
-    s^4, b^6, s^2 b^-3) are corrected by the inner word each lift
-    evaluates to; conjugation relators express how s and b move the
-    basic conjugations around.  Build fails loudly if any candidate
-    relator is not the identity automorphism.
-    """
-    relators: list[TokenWord] = []
-    quotient_relators: list[TokenWord] = [
-        _pow("s", 4),
-        _pow("b", 6),
-        _pow("s", 2) + _pow("b", -3),
-    ]
-    for word in quotient_relators:
-        f = evaluate(word)
-        w = find_conjugator(f)
-        if w is None:
-            raise RuntimeError("lifted relator is not inner: %r" % (word,))
-        relators.append(word + _tok_inv(_alpha_word(w)))
-    for q in ("s", "b"):
-        for name, base in (("ax", X), ("ay", Y)):
-            target = a_apply(GEN_AUT[q], base)
-            word = ((q, 1), (name, 1), (q, -1)) + _tok_inv(_alpha_word(target))
-            relators.append(word)
+    """Finite presentation of Aut+(F2) as B4/Z(B4): 3 generators, 4
+    relators.  Build fails loudly if any relator is not the identity
+    automorphism."""
+    t1, t2, t3 = ("t1", 1), ("t2", 1), ("t3", 1)
+    t1i, t2i, t3i = ("t1", -1), ("t2", -1), ("t3", -1)
+    relators = (
+        (t1, t3, t1i, t3i),
+        (t1, t2, t1, t2i, t1i, t2i),
+        (t2, t3, t2, t3i, t2i, t3i),
+        (t1, t2, t3) * 4,
+    )
     for rel in relators:
         if evaluate(rel) != AUT_ID:
             raise RuntimeError("unsound relator: %r" % (rel,))
-    return Presentation(tuple(relators))
+    return Presentation(relators)
 
 
 # --- action of the presentation generators on generating pairs ---

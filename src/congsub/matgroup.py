@@ -2,9 +2,8 @@
 
 Matrices are unbounded-integer 2x2 of determinant 1.  PSL2(Z) elements are
 canonical representatives of {M, -M}.  Words over the finite-order
-generators S (order 2 in PSL) and U (order 3 in PSL) are converted to and
-from matrices; the conversion to words runs a Euclidean reduction on the
-bottom row using the translation T = S*U.
+generators S (order 2 in PSL) and U (order 3 in PSL) are normalized in
+the free product Z/2 * Z/3 and converted to matrices.
 """
 from __future__ import annotations
 
@@ -156,34 +155,6 @@ def word_to_matrix(w: str) -> PslElement:
     for x in w:
         acc = acc * _PSL_LETTERS[x]
     return acc
-
-
-def matrix_to_word(x: PslElement) -> str:
-    """Express a PSL2(Z) element as a word in S and U.
-
-    Euclidean reduction on the bottom row peels off factors T^q * S until
-    the matrix is triangular, i.e. a power of T; the SL letters are then
-    replaced by T = S*U and T^-1 = u*S and the word is normalized.
-    """
-    n = x.rep
-    chunks: list[str] = []
-    while n.c != 0:
-        q = n.a // n.c
-        chunks.append(_t_power_psl(q))
-        chunks.append("S")
-        # split off the left factor T^q * S
-        r, s = n.a - q * n.c, n.b - q * n.d
-        n = Mat2(-n.c, -n.d, r, s)
-    # n is now +-(1 k; 0 1)
-    k = n.b if n.a == 1 else -n.b
-    chunks.append(_t_power_psl(k))
-    return normalize_psl("".join(chunks))
-
-
-def _t_power_psl(q: int) -> str:
-    if q >= 0:
-        return "SU" * q
-    return "uS" * (-q)
 
 
 def distinct_primes(m: int) -> list[int]:

@@ -1,0 +1,160 @@
+"""The former presentations of Aut(F2) and Aut+(F2): the oracle that the
+tests hold the braid presentation of ``congsub.autpres`` against.
+
+Aut(F2) = <ax, ay, s, b, j> with 12 relators: the lifts of the GL2(Z)
+amalgam relations s^4, b^6, s^2 b^-3, j^2, (js)^2, (jb)^2, each corrected
+by the inner automorphism it evaluates to, and the conjugation relators
+of s, b and j on ax and ay.  The 7 relators free of j present Aut+(F2) on
+ax, ay, s, b.  The coset table of Aut(F2) is the orbit of the signed
+state (pi0, +1), where a generator multiplies the sign by its
+determinant; the stabilizer of that state is again the special
+stabilizer.  Relation rows come from the word-level rewriter of
+``rewriting_reference``, so the oracle shares no generators, relators or
+rewriting code with the package's route.
+"""
+from functools import lru_cache
+
+from congsub.abelianize import _sparse_smith
+from congsub.autpres import AUT_ID, X, Y, _eval_in_group, a_apply, a_compose, free_reduce, w_inv
+from congsub.cosets import orbit_table
+from rewriting_reference import reference_relation_rows
+
+
+def w_mul(*ws):
+    return free_reduce(a for w in ws for a in w)
+
+
+def conjugation_by(w):
+    return (w_mul(w, X, w_inv(w)), w_mul(w, Y, w_inv(w)))
+
+
+def find_conjugator(f):
+    """The unique w with f = conjugation by w, or None if f is not inner.
+
+    Writing w = p * x^k with p not ending in a power of x, the image of x
+    is exactly p x p^-1, which pins down p; k is then read off from the
+    image of y.
+    """
+    wx, wy = f
+    if len(wx) % 2 == 0 or wx[len(wx) // 2] != 1:
+        return None
+    p = wx[: len(wx) // 2]
+    v = w_mul(w_inv(p), wy, p)  # should be x^k y x^-k
+    ys = [i for i, a in enumerate(v) if abs(a) == 2]
+    if len(ys) != 1 or v[ys[0]] != 2:
+        return None
+    k = ys[0]
+    if v != (1,) * k + (2,) + (-1,) * k and v != (-1,) * k + (2,) + (1,) * k:
+        return None
+    if k and v[0] == -1:
+        k = -k
+    w = w_mul(p, (1,) * k if k >= 0 else (-1,) * (-k))
+    if conjugation_by(w) != f:
+        return None
+    return w
+
+
+def a_det(f):
+    """Determinant of the abelianized action."""
+    a = sum(1 if v == 1 else -1 for v in f[0] if abs(v) == 1)
+    c = sum(1 if v == 2 else -1 for v in f[0] if abs(v) == 2)
+    b = sum(1 if v == 1 else -1 for v in f[1] if abs(v) == 1)
+    d = sum(1 if v == 2 else -1 for v in f[1] if abs(v) == 2)
+    return a * d - b * c
+
+
+# each generator with its explicit inverse
+REF_AUT = {
+    "ax": (conjugation_by(X), conjugation_by(w_inv(X))),
+    "ay": (conjugation_by(Y), conjugation_by(w_inv(Y))),
+    # the order-4 rotation
+    "s": (((-2,), (1,)), ((2,), (-1,))),
+    # an order-6 element with b^3 = s^2
+    "b": (((-2,), (1, 2)), ((2, 1), (-1,))),
+    # the basis swap x <-> y, of determinant -1: it lies outside Aut+(F2)
+    "j": (((2,), (1,)), ((2,), (1,))),
+}
+SIGNED_GENS = tuple(REF_AUT)
+
+
+def ref_evaluate(word):
+    f = AUT_ID
+    for name, e in word:
+        f = a_compose(f, REF_AUT[name][e == -1])
+    return f
+
+
+def tok_inv(word):
+    return tuple((name, -e) for name, e in reversed(word))
+
+
+def alpha_word(w):
+    """Conjugation by w as a word in ax, ay."""
+    return tuple(("ax" if abs(a) == 1 else "ay", 1 if a > 0 else -1) for a in w)
+
+
+def power(name, k):
+    return ((name, 1 if k >= 0 else -1),) * abs(k)
+
+
+@lru_cache(maxsize=None)
+def signed_relators():
+    quotient = [
+        power("s", 4),
+        power("b", 6),
+        power("s", 2) + power("b", -3),
+        power("j", 2),
+        (("j", 1), ("s", 1)) * 2,
+        (("j", 1), ("b", 1)) * 2,
+    ]
+    relators = []
+    for word in quotient:
+        w = find_conjugator(ref_evaluate(word))
+        assert w is not None
+        relators.append(word + tok_inv(alpha_word(w)))
+    for q in ("s", "b", "j"):
+        for name, base in (("ax", X), ("ay", Y)):
+            target = a_apply(REF_AUT[q][0], base)
+            relators.append(((q, 1), (name, 1), (q, -1)) + tok_inv(alpha_word(target)))
+    assert all(ref_evaluate(rel) == AUT_ID for rel in relators)
+    return tuple(relators)
+
+
+def special_relators():
+    """The 7 relators of Aut+(F2) on ax, ay, s, b: those free of j."""
+    return tuple(rel for rel in signed_relators() if all(name != "j" for name, _ in rel))
+
+
+def _signed_step(g, name):
+    aut = REF_AUT[name][0]
+    det = a_det(aut)
+
+    def step(state):
+        gx, gy, sign = state
+        return (
+            _eval_in_group(g, aut[0], gx, gy),
+            _eval_in_group(g, aut[1], gx, gy),
+            sign * det,
+        )
+
+    return step
+
+
+def signed_abelianization(g, pi0):
+    """The special stabilizer's abelianization through the signed orbit,
+    and the number of signed states."""
+    states, forward = orbit_table(
+        (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
+    )
+    rows, n_syms = reference_relation_rows(forward, signed_relators())
+    return _sparse_smith(rows, n_syms), len(states)
+
+
+def special_abelianization(g, pi0):
+    """The special stabilizer's abelianization through the orbit of
+    (pi0, +1) under ax, ay, s, b, where the sign stays +1, and the 7
+    relators free of j."""
+    steps = {name: _signed_step(g, name) for name in SIGNED_GENS if name != "j"}
+    _, forward = orbit_table((pi0.gx, pi0.gy, 1), steps)
+    rows, n_syms = reference_relation_rows(forward, special_relators())
+    return _sparse_smith(rows, n_syms)

@@ -30,11 +30,11 @@ from congsub.fingroups import (
 from congsub.matgroup import (
     Mat2,
     PslElement,
-    matrix_to_word,
     psl_index_formula,
     word_to_matrix,
 )
 from congsub.rewriting import free_rank, is_free, kurosh_decompose
+from psl_words import matrix_to_word
 
 
 def report(number, label, ok, elapsed=None):

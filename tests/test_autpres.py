@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import pytest
 
 from congsub.abelianize import _sparse_smith, full_abelianization
@@ -7,28 +5,22 @@ from congsub.autpres import (
     AUT_ID,
     GENS,
     GEN_AUT,
+    GEN_AUT_INV,
     X,
     Y,
     a_apply,
     a_compose,
-    conjugation_by,
     evaluate,
-    find_conjugator,
     free_reduce,
     presentation,
     signed_coset_table,
     stabilizer_relation_rows,
-    token_aut,
     w_inv,
-    w_mul,
-    _alpha_word,
     _eval_in_group,
-    _pow,
     _state_action,
-    _tok_inv,
 )
 from congsub.cli import VERDICT_SPECS
-from congsub.cosets import orbit_table, tree_flags
+from congsub.cosets import tree_flags
 from congsub.fingroups import (
     abelian,
     cyclic,
@@ -40,20 +32,18 @@ from congsub.fingroups import (
     symmetric,
 )
 from congsub.rewriting import relation_rows
+from autpres_reference import (
+    REF_AUT,
+    a_det,
+    conjugation_by,
+    find_conjugator,
+    signed_abelianization,
+    special_abelianization,
+    special_relators,
+    tok_inv,
+    w_mul,
+)
 from rewriting_reference import reference_relation_rows, reference_tree_edges, rewrite_relators
-
-# the basis swap x <-> y, of determinant -1: it lies outside Aut+(F2)
-J = (Y, X)
-
-
-def a_det(f):
-    """Determinant of the abelianized action."""
-    a = sum(1 if v == 1 else -1 for v in f[0] if abs(v) == 1)
-    c = sum(1 if v == 2 else -1 for v in f[0] if abs(v) == 2)
-    b = sum(1 if v == 1 else -1 for v in f[1] if abs(v) == 1)
-    d = sum(1 if v == 2 else -1 for v in f[1] if abs(v) == 2)
-    return a * d - b * c
-
 
 TEST_GROUPS = [
     cyclic(2),
@@ -74,33 +64,49 @@ def test_free_word_algebra():
 
 def test_generator_determinants():
     dets = {name: a_det(aut) for name, aut in GEN_AUT.items()}
-    assert dets == {"ax": 1, "ay": 1, "s": 1, "b": 1}
-    assert a_det(J) == -1
+    assert dets == {"t1": 1, "t2": 1, "t3": 1}
+    assert {name: a_det(aut) for name, (aut, _) in REF_AUT.items()} == {
+        "ax": 1, "ay": 1, "s": 1, "b": 1, "j": -1
+    }
+
+
+@pytest.mark.parametrize("name", GENS)
+def test_generator_inverses(name):
+    assert a_compose(GEN_AUT[name], GEN_AUT_INV[name]) == AUT_ID
+    assert a_compose(GEN_AUT_INV[name], GEN_AUT[name]) == AUT_ID
 
 
 def test_compose_order():
     # (f after g) applied to x equals f(g(x))
-    f, g = GEN_AUT["s"], GEN_AUT["b"]
+    f, g = GEN_AUT["t1"], GEN_AUT["t2"]
     h = a_compose(f, g)
     assert a_apply(h, X) == a_apply(f, a_apply(g, X))
 
 
-def test_find_conjugator_round_trip():
-    for w in ((), (1,), (-2, 1), (1, 2, -1), (2, 2, 1)):
-        recovered = find_conjugator(conjugation_by(w))
-        assert recovered is not None
-        assert conjugation_by(recovered) == conjugation_by(w)
+def _tokens(text):
+    """A token word from names, an inverse marked by a trailing ', e.g. "t1 t2'"."""
+    return tuple((name.rstrip("'"), -1 if name.endswith("'") else 1) for name in text.split())
 
 
-def test_find_conjugator_rejects_outer():
-    assert find_conjugator(GEN_AUT["s"]) is None
-    assert find_conjugator(J) is None
+@pytest.mark.parametrize(
+    "name,word",
+    [
+        ("ax", "t1' t3"),
+        ("s", "t1 t2 t3"),
+        ("b", "t1 t2 t1' t3"),
+        ("ay", "t1 t2 t1 t3' t2' t1'"),
+    ],
+)
+def test_braid_generators_generate_aut_plus(name, word):
+    # ax, ay, s, b generate Aut+(F2), so t1, t2, t3 do
+    assert evaluate(_tokens(word)) == REF_AUT[name][0]
 
 
 def test_presentation_relators_sound():
     pres = presentation()
-    assert len(pres.relators) == 7
+    assert len(pres.relators) == 4
     for rel in pres.relators:
+        assert all(name in GENS for name, _ in rel)
         assert evaluate(rel) == AUT_ID
 
 
@@ -222,7 +228,7 @@ def test_rewritten_relators_are_products_of_schreier_generators(g):
     for c, name in sorted(tree, key=lambda e: table.forward[e[1]][e[0]]):
         tree_word[table.forward[name][c]] = tree_word[c] + ((name, 1),)
     gen_word = [
-        tree_word[c] + ((name, 1),) + _tok_inv(tree_word[table.forward[name][c]])
+        tree_word[c] + ((name, 1),) + tok_inv(tree_word[table.forward[name][c]])
         for c, name in edges
     ]
     for w in gen_word:
@@ -232,79 +238,50 @@ def test_rewritten_relators_are_products_of_schreier_generators(g):
     for word in words:
         product = ()
         for k in word:
-            product += gen_word[k - 1] if k > 0 else _tok_inv(gen_word[-k - 1])
+            product += gen_word[k - 1] if k > 0 else tok_inv(gen_word[-k - 1])
         assert evaluate(product) == AUT_ID
 
 
-# --- the oracle: the former route through all of Aut(F2) ---
-#
-# Aut(F2) = <ax, ay, s, b, j> with 12 relators: the lifts of the GL2(Z)
-# amalgam relations s^4, b^6, s^2 b^-3, j^2, (js)^2, (jb)^2, each corrected
-# by its inner word, and the conjugation relators of s, b and j on ax and
-# ay.  Its coset table is the orbit of the signed state (pi0, +1), where a
-# generator multiplies the sign by its determinant; the stabilizer of that
-# state is again the special stabilizer.
-
-SIGNED_GENS = GENS + ("j",)
+# --- the oracles: the former presentations, kept in autpres_reference ---
 
 
-def _signed_aut(tok):
-    return J if tok[0] == "j" else token_aut(tok)
+def test_find_conjugator_round_trip():
+    for w in ((), (1,), (-2, 1), (1, 2, -1), (2, 2, 1)):
+        recovered = find_conjugator(conjugation_by(w))
+        assert recovered is not None
+        assert conjugation_by(recovered) == conjugation_by(w)
 
 
-def _signed_evaluate(word):
-    f = AUT_ID
-    for tok in word:
-        f = a_compose(f, _signed_aut(tok))
-    return f
+def test_find_conjugator_rejects_outer():
+    assert find_conjugator(REF_AUT["s"][0]) is None
+    assert find_conjugator(REF_AUT["j"][0]) is None
+    assert find_conjugator(GEN_AUT["t2"]) is None
 
 
-@lru_cache(maxsize=None)
-def signed_relators():
-    quotient = [
-        _pow("s", 4),
-        _pow("b", 6),
-        _pow("s", 2) + _pow("b", -3),
-        _pow("j", 2),
-        (("j", 1), ("s", 1)) * 2,
-        (("j", 1), ("b", 1)) * 2,
-    ]
-    relators = []
-    for word in quotient:
-        w = find_conjugator(_signed_evaluate(word))
-        assert w is not None
-        relators.append(word + _tok_inv(_alpha_word(w)))
-    for q in ("s", "b", "j"):
-        for name, base in (("ax", X), ("ay", Y)):
-            target = a_apply(_signed_aut((q, 1)), base)
-            relators.append(((q, 1), (name, 1), (q, -1)) + _tok_inv(_alpha_word(target)))
-    assert all(_signed_evaluate(rel) == AUT_ID for rel in relators)
-    return tuple(relators)
+def test_special_relators_are_the_former_presentation():
+    # 3 lifted amalgam relations and the conjugations of ax, ay by s and b
+    assert len(special_relators()) == 7
+    assert all(name in ("ax", "ay", "s", "b") for rel in special_relators() for name, _ in rel)
 
 
-def _signed_step(g, name):
-    aut = _signed_aut((name, 1))
-    det = a_det(aut)
-
-    def step(state):
-        gx, gy, sign = state
-        return (
-            _eval_in_group(g, aut[0], gx, gy),
-            _eval_in_group(g, aut[1], gx, gy),
-            sign * det,
-        )
-
-    return step
+@pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
+def test_braid_route_matches_the_former_presentation(g):
+    for pi0 in _first_middle_last(g):
+        assert full_abelianization(g, pi0) == special_abelianization(g, pi0)
 
 
-def signed_abelianization(g, pi0):
-    """The special stabilizer's abelianization through the signed orbit,
-    and the number of signed states."""
-    states, forward = orbit_table(
-        (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
+@pytest.mark.parametrize("dropped", range(4))
+def test_a_dropped_relator_changes_some_invariants(dropped):
+    # a planted fault: the route with one relator missing must disagree
+    # with the full presentation somewhere, so the oracle comparisons can
+    # catch a missing relator
+    relators = presentation().relators[:dropped] + presentation().relators[dropped + 1 :]
+    assert any(
+        _sparse_smith(*relation_rows(signed_coset_table(g, pi0).forward, relators))
+        != full_abelianization(g, pi0)
+        for g in TEST_GROUPS
+        for pi0 in _first_middle_last(g)
     )
-    rows, n_syms = reference_relation_rows(forward, signed_relators())
-    return _sparse_smith(rows, n_syms), len(states)
 
 
 @pytest.mark.parametrize("spec", VERDICT_SPECS)

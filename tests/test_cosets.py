@@ -15,11 +15,11 @@ from congsub.matgroup import (
     Mat2,
     PslElement,
     invert_psl,
-    matrix_to_word,
     normalize_psl,
     psl_index_formula,
 )
 from congsub.rewriting import schreier_generators
+from psl_words import matrix_to_word
 from rewriting_reference import reference_tree_edges
 
 

@@ -33,7 +33,8 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
-from congsub.matgroup import Mat2, PslElement, matrix_to_word
+from congsub.matgroup import Mat2, PslElement
+from psl_words import matrix_to_word
 
 
 def test_constructor_orders():

@@ -17,11 +17,11 @@ from congsub.matgroup import (
     index_formula,
     invert_psl,
     is_member,
-    matrix_to_word,
     normalize_psl,
     psl_index_formula,
     word_to_matrix,
 )
+from psl_words import matrix_to_word
 
 
 def test_determinant_enforced():

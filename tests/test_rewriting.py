@@ -20,7 +20,6 @@ from congsub.matgroup import (
     Mat2,
     PslElement,
     invert_psl,
-    matrix_to_word,
     normalize_psl,
     word_to_matrix,
 )
@@ -36,6 +35,7 @@ from congsub.rewriting import (
     subgroup_presentation,
     transversal,
 )
+from psl_words import matrix_to_word
 from rewriting_reference import reference_relation_rows, reference_tree_edges
 
 # S^2 and U^3 as words of (generator, exponent) tokens
