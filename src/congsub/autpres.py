@@ -182,7 +182,8 @@ def stabilizer_relation_rows(
 
     Returns sparse exponent-sum rows ({column: nonzero sum}) over the
     n_syms non-tree Schreier generators of the stabilizer of the pair
-    pi0, one row per (relator, state) with the zero rows dropped, and
-    n_syms, read off the orbit table by ``relation_rows``.
+    pi0, and n_syms, read off the orbit table by ``relation_rows``: one
+    row per (relator, state) for the three relators that are no powers,
+    and one per cycle of t1 t2 t3 for (t1 t2 t3)^4, zero rows dropped.
     """
     return relation_rows(signed_coset_table(g, pi0).forward, presentation().relators)

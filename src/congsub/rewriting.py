@@ -15,7 +15,8 @@ in normal form in Z/2 * Z/3, so a witness tr[c] x tr[x(c)]^-1 is reduced
 only where its parts meet.  The relator rewriter ``relation_rows`` works
 over any table of named permutation columns numbered breadth-first,
 reading the spanning tree off the numbering, and returns the abelianized
-relation rows only; the Aut+(F2) route uses it.
+relation rows only, reading a relator that is a proper power once per
+cycle of its root; the Aut+(F2) route uses it.
 """
 from __future__ import annotations
 
@@ -236,12 +237,19 @@ def relation_rows(
     (name, +1/-1) tokens.  The Schreier generators are the edges that the
     numbering walk ``tree_flags`` leaves off the tree, numbered
     state-major in column order, 0 on the tree; a token is read with two
-    list lookups.  Each relator is read from every state straight into
-    its exponent sums, which free reduction would not change, so no word
-    is built.  Returns the nonzero rows ({0-based generator: sum}, in
-    order of first occurrence, relator-major) and the number of
-    generators.  Columns not so numbered, or a relator that does not
-    close, are an internal fault and raise ``RuntimeError``.
+    list lookups.  Each relator is read straight into its exponent sums,
+    which free reduction would not change, so no word is built.  A
+    relator that is a proper power v^k (v its shortest root) read from c
+    and from v(c) walks the same closed path, started at another point,
+    so its rows are equal (Magnus, Karrass & Solitar, *Combinatorial
+    Group Theory*, 1966): it is read from the lowest state of each cycle
+    of v only, walking v k times and marking each state it starts v at.
+    Closing at c, it closes at every state of that cycle.  A relator that
+    is no power is read from every state.  Returns the nonzero rows
+    ({0-based generator: sum}, in order of first occurrence,
+    relator-major) and the number of generators.  Columns not so
+    numbered, or a relator that does not close, are an internal fault
+    and raise ``RuntimeError``.
     """
     cols = list(columns.values())
     try:
@@ -265,15 +273,22 @@ def relation_rows(
         steps[name, -1] = (back, [symbol[src] for src in back], -1)
     rows = []
     for rel in relators:
-        walk = [steps[tok] for tok in rel]
+        # rel = root^reps, the root its shortest rotation period (1 if empty)
+        p = next((p for p in range(1, len(rel) + 1) if rel == rel[p:] + rel[:p]), 1)
+        root, reps = [steps[tok] for tok in rel[:p]], len(rel) // p
+        done = bytearray(n)
         for c in range(n):
+            if done[c]:
+                continue
             cur = c
             sums: dict[int, int] = {}
-            for col, symbol, e in walk:
-                j = symbol[cur]
-                cur = col[cur]
-                if j:
-                    sums[j] = sums.get(j, 0) + e
+            for _ in range(reps):
+                done[cur] = 1
+                for col, symbol, e in root:
+                    j = symbol[cur]
+                    cur = col[cur]
+                    if j:
+                        sums[j] = sums.get(j, 0) + e
             if cur != c:
                 raise RuntimeError("relator %r does not close at state %d" % (rel, c))
             row = {j - 1: v for j, v in sums.items() if v}

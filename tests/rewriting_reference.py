@@ -81,3 +81,50 @@ def reference_relation_rows(columns, relators):
     of the rewritten relators, and the number of Schreier generators."""
     edges, words = rewrite_relators(columns, relators)
     return [row for row in exponent_rows(words) if row], len(edges)
+
+
+def root_cycle_starts(columns, rel):
+    """For each state c, the lowest state of its cycle under the shortest
+    root v of the relator (rel = v^k for the least len(v) dividing
+    len(rel)): c, v(c), v^2(c), ... until the walk is back at c.  The
+    relator must close at every state."""
+    length = len(rel)
+    p = next(d for d in range(1, length + 1) if length % d == 0 and rel[:d] * (length // d) == rel)
+    inverse = {name: {d: c for c, d in enumerate(col)} for name, col in columns.items()}
+
+    def root(c):
+        for name, e in rel[:p]:
+            c = columns[name][c] if e == 1 else inverse[name][c]
+        return c
+
+    n = len(next(iter(columns.values())))
+    start = [None] * n
+    for c in range(n):
+        d = c
+        while start[d] is None:
+            start[d] = c
+            d = root(d)
+    return start
+
+
+def assert_read_once_per_root_cycle(columns, relators, rows, n_syms):
+    """``rows, n_syms`` is what ``relation_rows(columns, relators)``
+    returns: the reference's nonzero rows at the first state of each root
+    cycle, relator-major, in the same key order, while the reference's row
+    at every other state equals the row at the first state of its cycle.
+    So every per-state reference row is accounted for."""
+    edges, words = rewrite_relators(columns, relators)
+    n = len(next(iter(columns.values())))
+    every = exponent_rows(words)
+    assert n_syms == len(edges)
+    want = []
+    for i, rel in enumerate(relators):
+        by_state = every[i * n : (i + 1) * n]
+        start = root_cycle_starts(columns, rel)
+        for c in range(n):
+            if start[c] == c:
+                if by_state[c]:
+                    want.append(by_state[c])
+            else:
+                assert by_state[c] == by_state[start[c]]
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]

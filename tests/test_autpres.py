@@ -43,7 +43,12 @@ from autpres_reference import (
     tok_inv,
     w_mul,
 )
-from rewriting_reference import reference_relation_rows, reference_tree_edges, rewrite_relators
+from rewriting_reference import (
+    assert_read_once_per_root_cycle,
+    exponent_rows,
+    reference_tree_edges,
+    rewrite_relators,
+)
 
 TEST_GROUPS = [
     cyclic(2),
@@ -188,13 +193,45 @@ def test_relation_rows_shape():
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
 def test_relation_rows_match_the_word_reference(g):
     # rows summed straight off the orbit table equal the exponent sums of
-    # the rewritten, freely reduced words, in the same key order
+    # the rewritten, freely reduced words, in the same key order, read
+    # once per cycle of each relator's root; the reference reads every
+    # state, and each other state's row equals its cycle's first row
     for pi0 in _first_middle_last(g):
         rows, n_syms = stabilizer_relation_rows(g, pi0)
         columns = signed_coset_table(g, pi0).forward
-        want_rows, want_n = reference_relation_rows(columns, presentation().relators)
-        assert n_syms == want_n
-        assert [list(row.items()) for row in rows] == [list(row.items()) for row in want_rows]
+        assert_read_once_per_root_cycle(columns, presentation().relators, rows, n_syms)
+
+
+@pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
+def test_the_power_relator_is_read_once_per_cycle_of_its_root(g):
+    # (t1 t2 t3)^4 gives one row per cycle of V = t1 t2 t3 on which the
+    # reference's row is nonzero; V's cycles are walked here
+    power = (("t1", 1), ("t2", 1), ("t3", 1)) * 4
+    for pi0 in _first_middle_last(g):
+        columns = signed_coset_table(g, pi0).forward
+        t1, t2, t3 = (columns[name] for name in GENS)
+        v = [t3[t2[t1[c]]] for c in range(len(t1))]
+        lowest = set()
+        for c in range(len(v)):
+            cycle = [c]
+            while v[cycle[-1]] != c:
+                cycle.append(v[cycle[-1]])
+            lowest.add(min(cycle))
+        per_state = exponent_rows(rewrite_relators(columns, [power])[1])
+        rows, _ = relation_rows(columns, [power])
+        assert len(rows) == sum(1 for c in lowest if per_state[c]) < len(v)
+        assert rows == [per_state[c] for c in sorted(lowest) if per_state[c]]
+
+
+def test_a_relator_that_is_not_a_power_is_read_from_every_state():
+    # [t1, t3] yields one row per state, zero rows dropped
+    commutator = presentation().relators[0]
+    assert commutator == (("t1", 1), ("t3", 1), ("t1", -1), ("t3", -1))
+    for g in TEST_GROUPS:
+        columns = signed_coset_table(g, epi_set(g)[0]).forward
+        per_state = exponent_rows(rewrite_relators(columns, [commutator])[1])
+        assert len(per_state) == len(columns["t1"])
+        assert relation_rows(columns, [commutator])[0] == [row for row in per_state if row]
 
 
 def test_relation_rows_refuse_a_relator_with_a_token_dropped():

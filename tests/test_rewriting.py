@@ -35,8 +35,9 @@ from congsub.rewriting import (
     subgroup_presentation,
     transversal,
 )
+from coset_helpers import trace
 from psl_words import matrix_to_word
-from rewriting_reference import reference_relation_rows, reference_tree_edges
+from rewriting_reference import assert_read_once_per_root_cycle, reference_tree_edges
 
 # S^2 and U^3 as words of (generator, exponent) tokens
 S_SQUARED = (("S", 1),) * 2
@@ -97,7 +98,7 @@ def test_transversal_prefix_closed():
             assert w[:-1] in words
         # each word reaches its own coset
         for c, w in enumerate(tr):
-            assert t.trace(0, w) == c
+            assert trace(t, 0, w) == c
 
 
 PAIRS_TO_24 = [(m, n) for m in range(1, 25) for n in range(1, m + 1) if m % n == 0]
@@ -147,7 +148,7 @@ def test_schreier_generators_fix_base_coset():
     for m, n in [(2, 1), (3, 1), (4, 2), (6, 3), (9, 9), (12, 4)]:
         t = congruence_table(m, n)
         for word, elem in schreier_generators(t):
-            assert t.trace(0, word) == 0
+            assert trace(t, 0, word) == 0
 
 
 @pytest.mark.parametrize("m,n", PAIRS_TO_24)
@@ -282,11 +283,11 @@ def test_presentation_has_kurosh_shape(t):
             acc = acc * (matrices[k - 1] if k > 0 else matrices[-k - 1].inv())
         assert acc.is_identity()
     words = [w for w, _ in schreier_generators(t)]
-    assert all(t.trace(0, w) == 0 for w in words)
+    assert all(trace(t, 0, w) == 0 for w in words)
     assert tables_isomorphic(t, enumerate_cosets(words))
     assert_matches_reference(t)
     # oracle: the unreduced Reidemeister-Schreier presentation, S^2 and U^3
-    # rewritten from every coset, has the same abelianization
+    # rewritten once per S- and U-cycle, has the same abelianization
     rows, n_syms = relation_rows({"S": t.s, "U": t.u}, (S_SQUARED, U_CUBED))
     unreduced = _sparse_smith(rows, n_syms)
     assert unreduced == smith_invariants(abelianized_relation_matrix(p), p.n_generators)
@@ -296,12 +297,31 @@ def test_presentation_has_kurosh_shape(t):
 @given(transitive_tables())
 def test_relation_rows_match_the_word_reference(t):
     # rows summed straight off the table equal the exponent sums of the
-    # rewritten, freely reduced words, in the same key order
+    # rewritten, freely reduced words, in the same key order, read once
+    # per S-cycle for S^2 and once per U-cycle for U^3; the reference
+    # reads every coset, and each other coset's row equals its cycle's
+    # first row
     columns = {"S": t.s, "U": t.u}
     rows, n_syms = relation_rows(columns, (S_SQUARED, U_CUBED))
-    want_rows, want_n = reference_relation_rows(columns, (S_SQUARED, U_CUBED))
-    assert n_syms == want_n == t.n + 1
-    assert [list(row.items()) for row in rows] == [list(row.items()) for row in want_rows]
+    assert n_syms == t.n + 1
+    assert_read_once_per_root_cycle(columns, (S_SQUARED, U_CUBED), rows, n_syms)
+
+
+@pytest.mark.parametrize("m,n,word,x,order", [(2, 1, S_SQUARED, "S", 2), (3, 1, U_CUBED, "U", 3)])
+def test_a_fixed_point_keeps_its_row_read_once(m, n, word, x, order):
+    # at a fixed point c of x the loop (c, x) is off the tree, and x^order
+    # read there gives the row {j: order} for its number j
+    t = congruence_table(m, n)
+    columns = {"S": t.s, "U": t.u}
+    col = columns[x]
+    (c,) = [c for c in range(t.n) if col[c] == c]
+    tree = reference_tree_edges(columns)
+    edges = [(d, name) for d in range(t.n) for name in columns if (d, name) not in tree]
+    j = edges.index((c, x))
+    rows, _ = relation_rows(columns, [word])
+    assert rows.count({j: order}) == 1
+    # at most one row per x-cycle
+    assert len(rows) <= len({min(c, col[c], col[col[c]]) for c in range(t.n)}) < t.n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
