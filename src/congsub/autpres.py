@@ -3,26 +3,35 @@ the rank-2 free group, and Reidemeister-Schreier rewriting of stabilizer
 subgroups through it.
 
 Aut+(F2), the automorphisms of determinant +1, is the braid group B4
-modulo its center (Dyer, Formanek & Grossman, Arch. Math. 38, 1982).  So
-it has the presentation of B4 on three generators with the center's
-generator (t1 t2 t3)^4 killed:
-
-    [t1, t3],  t1 t2 t1 = t2 t1 t2,  t2 t3 t2 = t3 t2 t3,  (t1 t2 t3)^4
-
-where the braid generators act as the automorphisms
+modulo its center (Dyer, Formanek & Grossman, Arch. Math. 38, 1982), on
+the braid generators
 
     t1 : x -> x,      y -> y x
     t2 : x -> x y^-1, y -> y
     t3 : x -> x,      y -> x y
 
+with the relators [t1, t3], t1 t2 t1 = t2 t1 t2, t2 t3 t2 = t3 t2 t3 and
+(t1 t2 t3)^4.  Here it is presented on a = t1 and d = t1 t2 t3, the
+rotation x -> y^-1, y -> x, by the classical two-generator presentation
+of B4 (Coxeter & Moser, *Generators and Relations for Discrete Groups*,
+ch. 6) with its center d^4 killed:
+
+    Aut+(F2) = < a, d | [a, d^2 a d^-2],  (a d)^3,  d^4 >.
+
 The relators hold in Aut+(F2), which is checked exactly at build time,
-and t1, t2, t3 generate Aut+(F2): the conjugations by x and by y, the
-rotation x -> y^-1, y -> x and the order-6 element x -> y^-1, y -> x y,
-which together generate it, are words of length 2 to 6 in them (checked
-in the tests).  So they define a surjection from B4/Z(B4) onto Aut+(F2).
-Aut(F2) is residually finite (Baumslag 1963), so its finitely generated
-subgroup Aut+(F2) is Hopfian (Mal'cev 1940); as B4/Z(B4) is isomorphic to
-it, that surjection is an isomorphism.
+so a -> t1, d -> t1 t2 t3 is a homomorphism from this group to
+B4/Z(B4).  It has an inverse.  Put b = d a d^-1 and c = d^2 a d^-2.
+
+1. In the free group, (d a)^3 = d (a b c) d^2, and (d a)^3 =
+   d (a d)^3 d^-1.  So (a d)^3 = 1 and d^4 = 1 give a b c = d^-3 = d.
+2. Then b = d a d^-1 = a b (c a c^-1) b^-1 a^-1 = a b a b^-1 a^-1, by
+   [a, c] = 1.  So b a b = a b a.
+3. Conjugating by d gives c b c = b c b.
+
+So t1 -> a, t2 -> b, t3 -> c respects the four relators of B4/Z(B4),
+with (a b c)^4 = d^4.  It sends t1 t2 t3 to a b c = d, and in B4
+d t1 d^-1 = t2 and d^2 t1 d^-2 = t3, so the two maps are inverse to each
+other on generators (each step is checked in the tests).
 """
 from __future__ import annotations
 
@@ -79,20 +88,18 @@ def a_compose(f: Aut, g: Aut) -> Aut:
     return (a_apply(f, g[0]), a_apply(f, g[1]))
 
 
-# --- presentation generators: the braid generators of B4 ---
+# --- presentation generators: a = t1 and d = t1 t2 t3 ---
 
-GENS = ("t1", "t2", "t3")
+GENS = ("t1", "d")
 
 GEN_AUT: dict[str, Aut] = {
     "t1": ((1,), (2, 1)),
-    "t2": ((1, -2), (2,)),
-    "t3": ((1,), (1, 2)),
+    "d": ((-2,), (1,)),
 }
 # each generator's explicit inverse
 GEN_AUT_INV: dict[str, Aut] = {
     "t1": ((1,), (2, -1)),
-    "t2": ((1, 2), (2,)),
-    "t3": ((1,), (-1, 2)),
+    "d": ((2,), (-1,)),
 }
 
 Token = tuple[str, int]  # generator name, exponent +1 / -1
@@ -111,16 +118,15 @@ Presentation = namedtuple("Presentation", "relators")
 
 @lru_cache(maxsize=None)
 def presentation() -> Presentation:
-    """Finite presentation of Aut+(F2) as B4/Z(B4): 3 generators, 4
+    """Finite presentation of Aut+(F2) on t1 and d: 2 generators, 3
     relators.  Build fails loudly if any relator is not the identity
     automorphism."""
-    t1, t2, t3 = ("t1", 1), ("t2", 1), ("t3", 1)
-    t1i, t2i, t3i = ("t1", -1), ("t2", -1), ("t3", -1)
+    a, d = ("t1", 1), ("d", 1)
+    ai, di = ("t1", -1), ("d", -1)
     relators = (
-        (t1, t3, t1i, t3i),
-        (t1, t2, t1, t2i, t1i, t2i),
-        (t2, t3, t2, t3i, t2i, t3i),
-        (t1, t2, t3) * 4,
+        (a, d, d, a, di, di, ai, d, d, ai, di, di),
+        (a, d) * 3,
+        (d,) * 4,
     )
     for rel in relators:
         if evaluate(rel) != AUT_ID:
@@ -183,7 +189,7 @@ def stabilizer_relation_rows(
     Returns sparse exponent-sum rows ({column: nonzero sum}) over the
     n_syms non-tree Schreier generators of the stabilizer of the pair
     pi0, and n_syms, read off the orbit table by ``relation_rows``: one
-    row per (relator, state) for the three relators that are no powers,
-    and one per cycle of t1 t2 t3 for (t1 t2 t3)^4, zero rows dropped.
+    row per state for the commutator, one per cycle of t1 d and of d for
+    the two powers (t1 d)^3 and d^4, zero rows dropped.
     """
     return relation_rows(signed_coset_table(g, pi0).forward, presentation().relators)

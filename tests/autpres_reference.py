@@ -1,5 +1,10 @@
-"""The former presentations of Aut(F2) and Aut+(F2): the oracle that the
-tests hold the braid presentation of ``congsub.autpres`` against.
+"""The former presentations of Aut(F2) and Aut+(F2): the oracles that the
+tests hold the two-generator presentation of ``congsub.autpres`` against.
+
+Aut+(F2) = B4/Z(B4) on the braid generators t1, t2, t3 with the 4
+relators [t1, t3], t1 t2 t1 (t2 t1 t2)^-1, t2 t3 t2 (t3 t2 t3)^-1 and
+(t1 t2 t3)^4 (Dyer, Formanek & Grossman 1982).  Its coset table is the
+orbit of (pi0, +1) under t1, t2, t3.
 
 Aut(F2) = <ax, ay, s, b, j> with 12 relators: the lifts of the GL2(Z)
 amalgam relations s^4, b^6, s^2 b^-3, j^2, (js)^2, (jb)^2, each corrected
@@ -9,7 +14,7 @@ ax, ay, s, b.  The coset table of Aut(F2) is the orbit of the signed
 state (pi0, +1), where a generator multiplies the sign by its
 determinant; the stabilizer of that state is again the special
 stabilizer.  Relation rows come from the word-level rewriter of
-``rewriting_reference``, so the oracle shares no generators, relators or
+``rewriting_reference``, so the oracles share no generators, relators or
 rewriting code with the package's route.
 """
 from functools import lru_cache
@@ -76,16 +81,48 @@ REF_AUT = {
 }
 SIGNED_GENS = tuple(REF_AUT)
 
+# the braid generators of B4, each with its explicit inverse
+BRAID_AUT = {
+    "t1": (((1,), (2, 1)), ((1,), (2, -1))),
+    "t2": (((1, -2), (2,)), ((1, 2), (2,))),
+    "t3": (((1,), (1, 2)), ((1,), (-1, 2))),
+}
 
-def ref_evaluate(word):
+
+def ref_evaluate(word, auts=REF_AUT):
     f = AUT_ID
     for name, e in word:
-        f = a_compose(f, REF_AUT[name][e == -1])
+        f = a_compose(f, auts[name][e == -1])
     return f
 
 
 def tok_inv(word):
     return tuple((name, -e) for name, e in reversed(word))
+
+
+def tok_reduce(word):
+    """Free reduction of a token word."""
+    out = []
+    for name, e in word:
+        if out and out[-1] == (name, -e):
+            out.pop()
+        else:
+            out.append((name, e))
+    return tuple(out)
+
+
+def braid_relators():
+    """The 4 relators of B4/Z(B4) on t1, t2, t3."""
+    t1, t2, t3 = ("t1", 1), ("t2", 1), ("t3", 1)
+    t1i, t2i, t3i = ("t1", -1), ("t2", -1), ("t3", -1)
+    relators = (
+        (t1, t3, t1i, t3i),
+        (t1, t2, t1, t2i, t1i, t2i),
+        (t2, t3, t2, t3i, t2i, t3i),
+        (t1, t2, t3) * 4,
+    )
+    assert all(ref_evaluate(rel, BRAID_AUT) == AUT_ID for rel in relators)
+    return relators
 
 
 def alpha_word(w):
@@ -125,8 +162,7 @@ def special_relators():
     return tuple(rel for rel in signed_relators() if all(name != "j" for name, _ in rel))
 
 
-def _signed_step(g, name):
-    aut = REF_AUT[name][0]
+def _signed_step(g, aut):
     det = a_det(aut)
 
     def step(state):
@@ -144,7 +180,7 @@ def signed_abelianization(g, pi0):
     """The special stabilizer's abelianization through the signed orbit,
     and the number of signed states."""
     states, forward = orbit_table(
-        (pi0.gx, pi0.gy, 1), {name: _signed_step(g, name) for name in SIGNED_GENS}
+        (pi0.gx, pi0.gy, 1), {name: _signed_step(g, REF_AUT[name][0]) for name in SIGNED_GENS}
     )
     rows, n_syms = reference_relation_rows(forward, signed_relators())
     return _sparse_smith(rows, n_syms), len(states)
@@ -154,7 +190,17 @@ def special_abelianization(g, pi0):
     """The special stabilizer's abelianization through the orbit of
     (pi0, +1) under ax, ay, s, b, where the sign stays +1, and the 7
     relators free of j."""
-    steps = {name: _signed_step(g, name) for name in SIGNED_GENS if name != "j"}
+    steps = {name: _signed_step(g, REF_AUT[name][0]) for name in SIGNED_GENS if name != "j"}
     _, forward = orbit_table((pi0.gx, pi0.gy, 1), steps)
     rows, n_syms = reference_relation_rows(forward, special_relators())
+    return _sparse_smith(rows, n_syms)
+
+
+def braid_abelianization(g, pi0):
+    """The special stabilizer's abelianization through the orbit of
+    (pi0, +1) under t1, t2, t3, where the sign stays +1, and the 4
+    relators of B4/Z(B4)."""
+    steps = {name: _signed_step(g, aut) for name, (aut, _) in BRAID_AUT.items()}
+    _, forward = orbit_table((pi0.gx, pi0.gy, 1), steps)
+    rows, n_syms = reference_relation_rows(forward, braid_relators())
     return _sparse_smith(rows, n_syms)

@@ -33,14 +33,19 @@ from congsub.fingroups import (
 )
 from congsub.rewriting import relation_rows
 from autpres_reference import (
+    BRAID_AUT,
     REF_AUT,
     a_det,
+    braid_abelianization,
+    braid_relators,
     conjugation_by,
     find_conjugator,
+    ref_evaluate,
     signed_abelianization,
     special_abelianization,
     special_relators,
     tok_inv,
+    tok_reduce,
     w_mul,
 )
 from rewriting_reference import (
@@ -69,21 +74,28 @@ def test_free_word_algebra():
 
 def test_generator_determinants():
     dets = {name: a_det(aut) for name, aut in GEN_AUT.items()}
-    assert dets == {"t1": 1, "t2": 1, "t3": 1}
+    assert dets == {"t1": 1, "d": 1}
+    assert {name: a_det(aut) for name, (aut, _) in BRAID_AUT.items()} == {
+        "t1": 1, "t2": 1, "t3": 1
+    }
     assert {name: a_det(aut) for name, (aut, _) in REF_AUT.items()} == {
         "ax": 1, "ay": 1, "s": 1, "b": 1, "j": -1
     }
 
 
-@pytest.mark.parametrize("name", GENS)
+@pytest.mark.parametrize("name", GENS + ("t2", "t3"))
 def test_generator_inverses(name):
-    assert a_compose(GEN_AUT[name], GEN_AUT_INV[name]) == AUT_ID
-    assert a_compose(GEN_AUT_INV[name], GEN_AUT[name]) == AUT_ID
+    # the route's generators, and the braid reference's t2 and t3; its t1
+    # is the route's
+    f, f_inv = (GEN_AUT[name], GEN_AUT_INV[name]) if name in GENS else BRAID_AUT[name]
+    assert BRAID_AUT["t1"] == (GEN_AUT["t1"], GEN_AUT_INV["t1"])
+    assert a_compose(f, f_inv) == AUT_ID
+    assert a_compose(f_inv, f) == AUT_ID
 
 
 def test_compose_order():
     # (f after g) applied to x equals f(g(x))
-    f, g = GEN_AUT["t1"], GEN_AUT["t2"]
+    f, g = GEN_AUT["t1"], BRAID_AUT["t2"][0]
     h = a_compose(f, g)
     assert a_apply(h, X) == a_apply(f, a_apply(g, X))
 
@@ -103,16 +115,71 @@ def _tokens(text):
     ],
 )
 def test_braid_generators_generate_aut_plus(name, word):
-    # ax, ay, s, b generate Aut+(F2), so t1, t2, t3 do
+    # ax, ay, s, b generate Aut+(F2), so the braid reference's t1, t2, t3 do
+    assert ref_evaluate(_tokens(word), BRAID_AUT) == REF_AUT[name][0]
+
+
+@pytest.mark.parametrize(
+    "name,word",
+    [
+        ("ax", "t1' d d t1 d' d'"),
+        ("s", "d"),
+        ("b", "d t1'"),
+        ("ay", "t1 d t1 d' t1 d'"),
+    ],
+)
+def test_t1_and_d_generate_aut_plus(name, word):
+    # ax, ay, s, b generate Aut+(F2), so t1 and d do
     assert evaluate(_tokens(word)) == REF_AUT[name][0]
 
 
 def test_presentation_relators_sound():
     pres = presentation()
-    assert len(pres.relators) == 4
+    assert pres.relators == (
+        _tokens("t1 d d t1 d' d' t1' d d t1' d' d'"),
+        _tokens("t1 d t1 d t1 d"),
+        _tokens("d d d d"),
+    )
     for rel in pres.relators:
         assert all(name in GENS for name, _ in rel)
         assert evaluate(rel) == AUT_ID
+    assert len(braid_relators()) == 4
+    for rel in braid_relators():
+        assert all(name in BRAID_AUT for name, _ in rel)
+        assert ref_evaluate(rel, BRAID_AUT) == AUT_ID
+
+
+# the proof that <t1, d | [t1, d^2 t1 d^-2], (t1 d)^3, d^4> presents
+# B4/Z(B4), with a = t1, b = d a d^-1 and c = d^2 a d^-2
+A, D = _tokens("t1"), _tokens("d")
+B, C = D + A + tok_inv(D), D + D + A + tok_inv(D + D)
+IN_A_AND_D = {"t1": A, "t2": B, "t3": C}
+
+
+def _substitute(word, images):
+    """The token word with each generator replaced by its image word."""
+    return tuple(
+        tok for name, e in word for tok in (images[name] if e == 1 else tok_inv(images[name]))
+    )
+
+
+def test_the_proof_identity_holds_in_the_free_group():
+    # (d a)^3 = d (a b c) d^2, so (a d)^3 = 1 and d^4 = 1 give a b c = d
+    assert tok_reduce((D + A) * 3) == tok_reduce(D + A + B + C + D + D)
+    assert tok_reduce((D + A) * 3) == tok_reduce(D + (A + D) * 3 + tok_inv(D))
+
+
+def test_the_proof_maps_are_inverse_on_generators():
+    # d = t1 t2 t3, and b, c are t2 = d t1 d^-1 and t3 = d^2 t1 d^-2
+    assert evaluate(D) == ref_evaluate(_tokens("t1 t2 t3"), BRAID_AUT)
+    for name, word in IN_A_AND_D.items():
+        assert evaluate(word) == BRAID_AUT[name][0]
+    # each map sends the other side's relators to the identity
+    for rel in braid_relators():
+        assert evaluate(_substitute(rel, IN_A_AND_D)) == AUT_ID
+    in_braids = {"t1": _tokens("t1"), "d": _tokens("t1 t2 t3")}
+    for rel in presentation().relators:
+        assert ref_evaluate(_substitute(rel, in_braids), BRAID_AUT) == AUT_ID
 
 
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
@@ -204,29 +271,31 @@ def test_relation_rows_match_the_word_reference(g):
 
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
 def test_the_power_relator_is_read_once_per_cycle_of_its_root(g):
-    # (t1 t2 t3)^4 gives one row per cycle of V = t1 t2 t3 on which the
-    # reference's row is nonzero; V's cycles are walked here
-    power = (("t1", 1), ("t2", 1), ("t3", 1)) * 4
+    # (t1 d)^3 gives one row per cycle of v = t1 d and d^4 one per cycle
+    # of v = d on which the reference's row is nonzero; v's cycles are
+    # walked here
+    powers = presentation().relators[1:]
+    assert powers == (_tokens("t1 d") * 3, _tokens("d") * 4)
     for pi0 in _first_middle_last(g):
         columns = signed_coset_table(g, pi0).forward
-        t1, t2, t3 = (columns[name] for name in GENS)
-        v = [t3[t2[t1[c]]] for c in range(len(t1))]
-        lowest = set()
-        for c in range(len(v)):
-            cycle = [c]
-            while v[cycle[-1]] != c:
-                cycle.append(v[cycle[-1]])
-            lowest.add(min(cycle))
-        per_state = exponent_rows(rewrite_relators(columns, [power])[1])
-        rows, _ = relation_rows(columns, [power])
-        assert len(rows) == sum(1 for c in lowest if per_state[c]) < len(v)
-        assert rows == [per_state[c] for c in sorted(lowest) if per_state[c]]
+        t1, d = (columns[name] for name in GENS)
+        for power, v in zip(powers, ([d[t1[c]] for c in range(len(t1))], d)):
+            lowest = set()
+            for c in range(len(v)):
+                cycle = [c]
+                while v[cycle[-1]] != c:
+                    cycle.append(v[cycle[-1]])
+                lowest.add(min(cycle))
+            per_state = exponent_rows(rewrite_relators(columns, [power])[1])
+            rows, _ = relation_rows(columns, [power])
+            assert len(rows) == sum(1 for c in lowest if per_state[c]) < len(v)
+            assert rows == [per_state[c] for c in sorted(lowest) if per_state[c]]
 
 
 def test_a_relator_that_is_not_a_power_is_read_from_every_state():
-    # [t1, t3] yields one row per state, zero rows dropped
+    # [t1, d^2 t1 d^-2] yields one row per state, zero rows dropped
     commutator = presentation().relators[0]
-    assert commutator == (("t1", 1), ("t3", 1), ("t1", -1), ("t3", -1))
+    assert commutator == A + C + tok_inv(A) + tok_inv(C)
     for g in TEST_GROUPS:
         columns = signed_coset_table(g, epi_set(g)[0]).forward
         per_state = exponent_rows(rewrite_relators(columns, [commutator])[1])
@@ -292,7 +361,7 @@ def test_find_conjugator_round_trip():
 def test_find_conjugator_rejects_outer():
     assert find_conjugator(REF_AUT["s"][0]) is None
     assert find_conjugator(REF_AUT["j"][0]) is None
-    assert find_conjugator(GEN_AUT["t2"]) is None
+    assert find_conjugator(BRAID_AUT["t2"][0]) is None
 
 
 def test_special_relators_are_the_former_presentation():
@@ -301,13 +370,22 @@ def test_special_relators_are_the_former_presentation():
     assert all(name in ("ax", "ay", "s", "b") for rel in special_relators() for name, _ in rel)
 
 
+@pytest.mark.parametrize(
+    "spec", VERDICT_SPECS + tuple(g.tag for g in TEST_GROUPS if g.tag not in VERDICT_SPECS)
+)
+def test_route_matches_the_braid_presentation(spec):
+    g = parse_group_spec(spec)
+    for pi0 in _first_middle_last(g):
+        assert full_abelianization(g, pi0) == braid_abelianization(g, pi0)
+
+
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
 def test_braid_route_matches_the_former_presentation(g):
     for pi0 in _first_middle_last(g):
         assert full_abelianization(g, pi0) == special_abelianization(g, pi0)
 
 
-@pytest.mark.parametrize("dropped", range(4))
+@pytest.mark.parametrize("dropped", range(len(presentation().relators)))
 def test_a_dropped_relator_changes_some_invariants(dropped):
     # a planted fault: the route with one relator missing must disagree
     # with the full presentation somewhere, so the oracle comparisons can
