@@ -254,23 +254,27 @@ def predicted_invariants(m: int, n: int) -> AbelianInvariants:
     return AbelianInvariants(torsion, free_rank_formula(m, n))
 
 
-def lift_to_sl(p, m: int, n: int) -> Mat2:
-    """The representative of a projective class lying in the congruence
-    subgroup; unique for m >= 3.  Its callers pass Schreier generators of
-    a table they built, so an element that does not lift is an internal
-    fault."""
-    for cand in (p.rep, p.rep.neg()):
-        if is_member(m, n, cand):
-            return cand
-    raise RuntimeError("%s does not lift into the subgroup (%d, %d)" % (p, m, n))
+def lift_to_sl(g: tuple[int, int, int, int], m: int, n: int) -> Mat2:
+    """The sign of the determinant-1 matrix g = (a, b, c, d) that lies in
+    the congruence subgroup (m, n); unique for m >= 3.  Its caller passes
+    Schreier generators of a table it built, so a matrix neither sign of
+    which lies there is an internal fault."""
+    x = Mat2(*g)
+    if is_member(m, n, x):
+        return x
+    neg = x.neg()
+    if is_member(m, n, neg):
+        return neg
+    raise RuntimeError("%s does not lift into the subgroup (%d, %d)" % (x, m, n))
 
 
 def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     """Abelianization from the free-generator relation matrix.
 
     Requires the congruence subgroup to be free: m >= 3 and (m, n) not
-    (3, 1).  Free generators come from the coset table; each generator
-    (a b; c d) contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...)
+    (3, 1).  Free generators come from the coset table, as the matrices
+    of the reduced Schreier generators read off its tree walk, each
+    lifted by sign into Gamma(m, n); each generator (a b; c d) contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...)
     over the generators (conj-x, conj-y, gen_1, ..., gen_r), together
     with the derived rows m*conj-x = 0 and n*conj-y = 0.
 
@@ -290,13 +294,17 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
 
 def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
     """The relation-matrix route of ``hall_abelianization`` on the built
-    congruence table t of (m, n)."""
+    congruence table t of (m, n).
+
+    The generators' matrices are read off the Schreier tree walk by
+    ``rewriting.schreier_matrices`` as integer quadruples, and each is
+    lifted by sign into Gamma(m, n); no witness word is built."""
     if not rewriting.is_free(t):
         raise RuntimeError("expected a torsion-free table for (%d, %d)" % (m, n))
-    gens = rewriting.schreier_generators(t)
+    _, _, gens = rewriting.schreier_matrices(t)
     rows = [[m, 0], [0, n]]
-    for _, p in gens:
-        mat = lift_to_sl(p, m, n)
+    for g in gens:
+        mat = lift_to_sl(g, m, n)
         rows.append([mat.a - 1, -mat.c])
         rows.append([-mat.b, mat.d - 1])
     # the r generator columns are all zero: each adds one free summand

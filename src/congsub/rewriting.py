@@ -12,7 +12,9 @@ or 3 and keep each edge at a fixed point with the relator g^2 or g^3.  A
 non-tree edge (c, x) off a fixed point is thus kept exactly when another
 coset of its x-cycle is off the tree and higher.  Transversal words are
 in normal form in Z/2 * Z/3, so a witness tr[c] x tr[x(c)]^-1 is reduced
-only where its parts meet.  The relator rewriter ``relation_rows`` works
+only where its parts meet; the witnesses' matrices are read off the tree
+walk that builds the transversal, with no witness word built
+(``schreier_matrices``, which the hall route reads).  The relator rewriter ``relation_rows`` works
 over any table of named permutation columns numbered breadth-first,
 reading the spanning tree off the numbering, and returns the abelianized
 relation rows only, reading a relator that is a proper power once per
@@ -49,11 +51,15 @@ def transversal(t: CosetTable) -> tuple[str, ...]:
     return _schreier_tree(t)[0]
 
 
-def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]]:
-    """The transversal and its tree, as one flag per coset and generator
-    ('S', 'U') set at each tree edge: a coset discovered by S or U from c
-    consumes the pair at c, one found by u = U^-1 consumes its own U pair.
-    The table is transitive, so every word is set."""
+def _schreier_tree(
+    t: CosetTable,
+) -> tuple[tuple[str, ...], dict[str, bytearray], list[int]]:
+    """The transversal, its tree and the cosets in the order the walk
+    discovered them, each after its parent.  The tree is one flag per
+    coset and generator ('S', 'U') set at each tree edge: a coset
+    discovered by S or U from c consumes the pair at c, one found by
+    u = U^-1 consumes its own U pair.  The table is transitive, so every
+    word is set."""
     words: list[str | None] = [None] * t.n
     words[0] = ""
     in_s, in_u = bytearray(t.n), bytearray(t.n)
@@ -66,7 +72,7 @@ def _schreier_tree(t: CosetTable) -> tuple[tuple[str, ...], dict[str, bytearray]
                 words[d] = words[c] + letter
                 flags[d if at_target else c] = 1
                 queue.append(d)
-    return tuple(words), {"S": in_s, "U": in_u}  # type: ignore[return-value]
+    return tuple(words), {"S": in_s, "U": in_u}, queue  # type: ignore[return-value]
 
 
 def _join(p: str, q: str) -> str:
@@ -100,43 +106,56 @@ def _schreier_word(tr, coset: int, letter: str, target: int) -> str:
     return _join(_join(tr[coset], letter), invert_psl(tr[target]))
 
 
+def schreier_matrices(
+    t: CosetTable,
+) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, int, int, int]]]:
+    """The transversal, the edges (c, x) that ``subgroup_presentation``
+    keeps as generators, and the matrix of each edge's witness
+    tr[c] x tr[x(c)]^-1, as an integer quadruple (a, b, c, d) of
+    determinant 1 and in the sign the letters' matrices give it.
+
+    The matrix is M[c] * x * M[x(c)]^-1, where M[c], the matrix of the
+    transversal word of coset c, is M[parent] * (last letter), built in
+    the order the tree walk discovered the cosets, parents first.  The
+    letters' matrices are read from ``_LETTER_MATRIX`` at each call, and
+    every product, of the transversal and of the generators, has its
+    determinant checked: one other than 1 is an internal fault and
+    raises ``RuntimeError``.  No witness word is built.
+    """
+    tr, edges, _, order = _reduced_schreier(t)
+    letter = {x: g.entries() for x, g in _LETTER_MATRIX.items()}
+    cols = {x: t.column(x) for x in _PSL_INVERSE}
+    mats = [(1, 0, 0, 1)] * t.n
+    for c in order[1:]:
+        last = tr[c][-1]
+        mats[c] = _product(mats[cols[_PSL_INVERSE[last]][c]], letter[last])
+    gens = []
+    for c, x in edges:
+        a, b, cc, d = mats[cols[x][c]]
+        gens.append(_product(_product(mats[c], letter[x]), (d, -b, -cc, a)))
+    return tr, edges, gens
+
+
 def schreier_generators(t: CosetTable) -> list[tuple[str, PslElement]]:
     """Reduced Schreier generating set for the subgroup at coset 0.
 
     The witnesses of ``subgroup_presentation(t)``, each a PSL word paired
-    with its matrix: k + f2 + f3 words for a subgroup
-    F_k * (Z/2)^f2 * (Z/3)^f3, so for torsion-free subgroups the result
-    is a free basis.  Each witness is walked through the table and must
-    fix coset 0.  The witness of the edge (c, x) is tr[c] x tr[x(c)]^-1,
-    so its matrix is M[c] * x * M[x(c)]^-1, where M[c] is the matrix of
-    the transversal word of coset c, built once per coset from the word's
-    prefix.  The matrices are multiplied as integer quadruples (a, b, c,
-    d), and every product, of the transversal and of the generators, has
-    its determinant checked; only the generators' matrices become
-    ``Mat2``.  A witness that moves coset 0 or a product of determinant
-    other than 1 is an internal fault and raises ``RuntimeError``.
+    with its matrix from ``schreier_matrices``: k + f2 + f3 words for a
+    subgroup F_k * (Z/2)^f2 * (Z/3)^f3, so for torsion-free subgroups the
+    result is a free basis.  Each witness is walked through the table
+    and must fix coset 0; one that moves it is an internal fault and
+    raises ``RuntimeError``.
     """
-    tr, edges, _ = _reduced_schreier(t)
+    tr, edges, mats = schreier_matrices(t)
     cols = {x: t.column(x) for x in _PSL_INVERSE}
-    words = []
-    for c, x in edges:
+    gens = []
+    for (c, x), g in zip(edges, mats):
         w = _schreier_word(tr, c, x, cols[x][c])
         d = 0
         for y in w:
             d = cols[y][d]
         if d != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        words.append(w)
-    letter = {x: g.entries() for x, g in _LETTER_MATRIX.items()}
-    # the words are prefix-closed: M[c] = M[parent] * (last letter), shorter words first
-    mats = [(1, 0, 0, 1)] * t.n
-    for c in sorted(range(1, t.n), key=list(map(len, tr)).__getitem__):
-        last = tr[c][-1]
-        mats[c] = _product(mats[cols[_PSL_INVERSE[last]][c]], letter[last])
-    gens = []
-    for w, (c, x) in zip(words, edges):
-        a, b, cc, d = mats[cols[x][c]]
-        g = _product(_product(mats[c], letter[x]), (d, -b, -cc, a))
         gens.append((w, PslElement(Mat2(*g))))
     return gens
 
@@ -314,7 +333,7 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
     generators, the squares and then the cubes in generator order.
     Witness words are computed for the kept generators only.
     """
-    tr, edges, relators = _reduced_schreier(t)
+    tr, edges, relators, _ = _reduced_schreier(t)
     cols = {x: t.column(x) for x in "SU"}
     witnesses = tuple(_schreier_word(tr, c, x, cols[x][c]) for c, x in edges)
     return SubgroupPresentation(witnesses, tuple(relators))
@@ -322,9 +341,10 @@ def subgroup_presentation(t: CosetTable) -> SubgroupPresentation:
 
 def _reduced_schreier(
     t: CosetTable,
-) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]]]:
+) -> tuple[tuple[str, ...], list[tuple[int, str]], list[tuple[int, ...]], list[int]]:
     """The transversal, the non-tree edges (coset, letter) that the
-    presentation keeps as generators and its torsion relators over them.
+    presentation keeps as generators, its torsion relators over them and
+    the tree walk's discovery order.
 
     S^2 and U^3 close in every table, so the x-cycle of a coset c has
     length 1 or the order of x.  A fixed point of S (of U) is kept with
@@ -334,7 +354,7 @@ def _reduced_schreier(
     non-tree coset of each cycle.  Cosets are scanned in increasing
     order, S before U.
     """
-    tr, tree = _schreier_tree(t)
+    tr, tree, order = _schreier_tree(t)
     in_s, in_u = tree["S"], tree["U"]
     s_col, u_col, u2_col = t.s, t.u, t.u2
     edges: list[tuple[int, str]] = []
@@ -353,7 +373,7 @@ def _reduced_schreier(
             cubes.append((len(edges),) * 3)
         elif not in_u[c] and (d > c and not in_u[d] or e > c and not in_u[e]):
             edges.append((c, "U"))
-    return tr, edges, squares + cubes
+    return tr, edges, squares + cubes, order
 
 
 def abelianized_relation_matrix(p: SubgroupPresentation) -> list[list[int]]:

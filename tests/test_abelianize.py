@@ -24,6 +24,7 @@ from congsub.abelianize import (
     sl_level_structure,
     smith_invariants,
 )
+from congsub.cosets import congruence_table
 from congsub.fingroups import (
     abelian,
     alternating,
@@ -36,6 +37,8 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
+from congsub.matgroup import is_member, word_to_matrix
+from congsub.rewriting import schreier_generators
 
 
 def test_invariants_validation():
@@ -329,6 +332,39 @@ def test_hall_requires_torsion_free_parameters():
     for m, n in [(2, 1), (2, 2), (3, 1)]:
         with pytest.raises(ValueError):
             hall_abelianization(m, n)
+
+
+def word_rows(m, n):
+    """hall's relation rows, rebuilt from the Schreier words: each word
+    multiplied out letter by letter, apart from the tree walk's
+    matrices, and lifted by sign into Gamma(m, n)."""
+    rows = [[m, 0], [0, n]]
+    for word, _ in schreier_generators(congruence_table(m, n)):
+        x = word_to_matrix(word).rep
+        if not is_member(m, n, x):
+            x = x.neg()
+        assert is_member(m, n, x), (m, n, word)
+        rows += [[x.a - 1, -x.c], [-x.b, x.d - 1]]
+    return rows
+
+
+def test_hall_hands_smith_the_rows_of_its_schreier_words(monkeypatch):
+    # the Smith form of these rows is Z/n x Z/m x Z^r for any generators
+    # of Gamma(m, n), so only the rows themselves pin the matrices
+    handed = []
+    smith = abelianize.smith_invariants
+
+    def spy(rows, n_cols):
+        handed.append(([list(r) for r in rows], n_cols))
+        return smith(rows, n_cols)
+
+    monkeypatch.setattr(abelianize, "smith_invariants", spy)
+    pairs = [(m, n) for m in range(3, 25) for n in divisors(m) if (m, n) != (3, 1)]
+    assert len(pairs) == 80
+    for m, n in pairs:
+        handed.clear()
+        assert hall_abelianization(m, n) == predicted_invariants(m, n), (m, n)
+        assert handed == [(word_rows(m, n), 2)], (m, n)
 
 
 def test_hall_matches_prediction():

@@ -123,7 +123,7 @@ def test_verify_subjects(capsys, subject):
 
 
 def test_satoh_does_its_level_work_once(capsys, monkeypatch):
-    calls = {"congruence_table": 0, "schreier_generators": 0}
+    calls = {"congruence_table": 0, "schreier_matrices": 0, "schreier_generators": 0}
 
     def count(module, name):
         real = getattr(module, name)
@@ -135,10 +135,12 @@ def test_satoh_does_its_level_work_once(capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(abelianize, "congruence_table")
+    count(rewriting, "schreier_matrices")
     count(rewriting, "schreier_generators")
     code, out, _ = run(capsys, "satoh", "--m", "7")
     assert (code, out) == (0, "level (7,7) kernel abelianization Z/7 x Z/7 x Z^29: PASS\n")
-    assert calls == {"congruence_table": 1, "schreier_generators": 1}
+    # the generators' matrices come off one tree walk, with no witness words
+    assert calls == {"congruence_table": 1, "schreier_matrices": 1, "schreier_generators": 0}
 
 
 def test_verify_json(capsys):

@@ -72,7 +72,7 @@ def reference_reduced_schreier(t):
 def assert_matches_reference(t):
     """``_reduced_schreier`` keeps the reference's edges and relators, and
     each witness, reduced at its junctions, is the full normal form."""
-    tr, edges, relators = _reduced_schreier(t)
+    tr, edges, relators, _ = _reduced_schreier(t)
     assert (edges, relators) == reference_reduced_schreier(t)
     for w, (c, x) in zip(subgroup_presentation(t).witnesses, edges, strict=True):
         d = t.column(x)[c]
@@ -333,6 +333,19 @@ def test_transversal_words_are_normal_forms(t):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(transitive_tables())
+def test_discovery_order_puts_each_parent_first(t):
+    # schreier_matrices builds M[c] from the matrix of c's parent, the
+    # coset its transversal word's prefix reaches, along this order
+    tr, _, order = _schreier_tree(t)
+    assert order[0] == 0 and sorted(order) == list(range(t.n))
+    seen = {0}
+    for c in order[1:]:
+        assert trace(t, 0, tr[c][:-1]) in seen
+        seen.add(c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(transitive_tables())
 def test_schreier_matrices_are_their_witnesses(t):
     # the matrices are built along the transversal tree; word_to_matrix
     # multiplies each witness out letter by letter
@@ -432,7 +445,7 @@ def test_construction_accepts_exactly_the_valid_columns(columns):
         assert not reference_accepts(*columns)
     else:
         assert reference_accepts(*columns)
-        assert _reduced_schreier(t)[1:] == reference_reduced_schreier(t)
+        assert _reduced_schreier(t)[1:3] == reference_reduced_schreier(t)
 
 
 def _planted(monkeypatch, s, u):
