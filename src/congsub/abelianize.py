@@ -24,7 +24,6 @@ from . import autpres, fingroups, rewriting
 from .cosets import CosetTable, congruence_table
 from .fingroups import Epimorphism, FiniteGroup
 from .matgroup import (
-    Mat2,
     _check_pair,
     distinct_primes,
     index_formula,
@@ -98,7 +97,8 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
     the residue (live rows x columns that still occur) goes to
     ``_dense_smith_diagonal``.  The rows are consumed.  Every builder of
     sparse rows drops zeros, so a stored 0 is an internal fault
-    (RuntimeError).
+    (RuntimeError), as are a rank above ``n_cols`` and torsion that is
+    not a divisibility chain.
     """
     if not all(map(all, map(dict.values, rows))):
         raise RuntimeError("a sparse row stores a zero")
@@ -166,7 +166,10 @@ def _sparse_smith(rows: list[dict[int, int]], n_cols: int) -> AbelianInvariants:
     rank = eliminated + len(diag)
     if rank > n_cols:  # a kernel fault, not invalid input
         raise RuntimeError("Smith rank %d exceeds %d columns" % (rank, n_cols))
-    return AbelianInvariants(tuple(torsion), n_cols - rank)
+    try:
+        return AbelianInvariants(tuple(torsion), n_cols - rank)
+    except ValueError as exc:  # so is torsion that is no chain
+        raise RuntimeError("Smith torsion %r: %s" % (tuple(torsion), exc)) from exc
 
 
 def _dense_smith_diagonal(m: list[list[int]], n_cols: int) -> list[int]:
@@ -254,18 +257,19 @@ def predicted_invariants(m: int, n: int) -> AbelianInvariants:
     return AbelianInvariants(torsion, free_rank_formula(m, n))
 
 
-def lift_to_sl(g: tuple[int, int, int, int], m: int, n: int) -> Mat2:
+def lift_to_sl(
+    g: tuple[int, int, int, int], m: int, n: int
+) -> tuple[int, int, int, int]:
     """The sign of the determinant-1 matrix g = (a, b, c, d) that lies in
     the congruence subgroup (m, n); unique for m >= 3.  Its caller passes
     Schreier generators of a table it built, so a matrix neither sign of
     which lies there is an internal fault."""
-    x = Mat2(*g)
-    if is_member(m, n, x):
-        return x
-    neg = x.neg()
+    if is_member(m, n, g):
+        return g
+    neg = tuple(-e for e in g)
     if is_member(m, n, neg):
         return neg
-    raise RuntimeError("%s does not lift into the subgroup (%d, %d)" % (x, m, n))
+    raise RuntimeError("(%d %d; %d %d) does not lift into the subgroup (%d, %d)" % (*g, m, n))
 
 
 def hall_abelianization(m: int, n: int) -> AbelianInvariants:
@@ -274,9 +278,10 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     Requires the congruence subgroup to be free: m >= 3 and (m, n) not
     (3, 1).  Free generators come from the coset table, as the matrices
     of the reduced Schreier generators read off its tree walk, each
-    lifted by sign into Gamma(m, n); each generator (a b; c d) contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...)
-    over the generators (conj-x, conj-y, gen_1, ..., gen_r), together
-    with the derived rows m*conj-x = 0 and n*conj-y = 0.
+    lifted by sign into Gamma(m, n); each generator (a b; c d)
+    contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...) over the
+    generators (conj-x, conj-y, gen_1, ..., gen_r), together with the
+    derived rows m*conj-x = 0 and n*conj-y = 0.
 
     Every generator lies in Gamma(m, n), so each row [a-1, -c], [-b, d-1]
     lies in the lattice <(m, 0), (0, n)> and the SNF always returns
@@ -304,9 +309,9 @@ def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
     _, _, gens = rewriting.schreier_matrices(t)
     rows = [[m, 0], [0, n]]
     for g in gens:
-        mat = lift_to_sl(g, m, n)
-        rows.append([mat.a - 1, -mat.c])
-        rows.append([-mat.b, mat.d - 1])
+        a, b, c, d = lift_to_sl(g, m, n)
+        rows.append([a - 1, -c])
+        rows.append([-b, d - 1])
     # the r generator columns are all zero: each adds one free summand
     inv = smith_invariants(rows, 2)
     return AbelianInvariants(inv.torsion, inv.free_rank + len(gens))

@@ -417,8 +417,8 @@ def epi_set(g: FiniteGroup, limit: int | None = None) -> list[Epimorphism]:
 # The lifts of PSL2(Z)'s generators S and U to Aut+(F2) that the image
 # orbit steps by, acting on a generating pair (x, y) by precomposition:
 # S is x -> y^-1, y -> x and U is x -> y, y -> x^-1 y.  Their abelianized
-# column matrices are matgroup.S and matgroup.U, the letters of every
-# other PSL2(Z) coset table.
+# column matrices are, up to sign, the letters S and U of
+# matgroup._LETTER_MATRIX, the letters of every other PSL2(Z) coset table.
 LIFTS: dict[str, Callable[[FiniteGroup, int, int], tuple[int, int]]] = {
     "S": lambda g, x, y: (g.inverse[y], x),
     "U": lambda g, x, y: (y, g.table[g.inverse[x]][y]),

@@ -14,11 +14,12 @@ coset of its x-cycle is off the tree and higher.  Transversal words are
 in normal form in Z/2 * Z/3, so a witness tr[c] x tr[x(c)]^-1 is reduced
 only where its parts meet; the witnesses' matrices are read off the tree
 walk that builds the transversal, with no witness word built
-(``schreier_matrices``, which the hall route reads).  The relator rewriter ``relation_rows`` works
-over any table of named permutation columns numbered breadth-first,
-reading the spanning tree off the numbering, and returns the abelianized
-relation rows only, reading a relator that is a proper power once per
-cycle of its root; the Aut+(F2) route uses it.
+(``schreier_matrices``, which the hall route reads).  The relator
+rewriter ``relation_rows`` works over any table of named permutation
+columns numbered breadth-first, reading the spanning tree off the
+numbering, and returns the abelianized relation rows only, reading a
+relator that is a proper power once per cycle of its root; the Aut+(F2)
+route uses it.
 """
 from __future__ import annotations
 
@@ -27,15 +28,7 @@ from collections.abc import Iterable
 from operator import ne
 
 from .cosets import CosetTable, tree_flags
-from .matgroup import (
-    _PSL_INVERSE,
-    _PSL_LETTERS,
-    Mat2,
-    PslElement,
-    invert_psl,
-)
-
-_LETTER_MATRIX = {x: p.rep for x, p in _PSL_LETTERS.items()}
+from .matgroup import _LETTER_MATRIX, _PSL_INVERSE, invert_psl
 
 
 def transversal(t: CosetTable) -> tuple[str, ...]:
@@ -81,7 +74,7 @@ def _join(p: str, q: str) -> str:
     Only the junction reduces: SS and Uu/uU cancel, and a UU or uu left
     there merges into one letter, after which the neighbours of that
     letter are S or nothing.  The normal form in Z/2 * Z/3 is unique, so
-    this equals ``normalize_psl(p + q)``.
+    this equals the free-product normal form of p + q.
     """
     i, j = len(p), 0
     while i and j < len(q):
@@ -123,7 +116,7 @@ def schreier_matrices(
     raises ``RuntimeError``.  No witness word is built.
     """
     tr, edges, _, order = _reduced_schreier(t)
-    letter = {x: g.entries() for x, g in _LETTER_MATRIX.items()}
+    letter = _LETTER_MATRIX
     cols = {x: t.column(x) for x in _PSL_INVERSE}
     mats = [(1, 0, 0, 1)] * t.n
     for c in order[1:]:
@@ -136,15 +129,17 @@ def schreier_matrices(
     return tr, edges, gens
 
 
-def schreier_generators(t: CosetTable) -> list[tuple[str, PslElement]]:
+def schreier_generators(
+    t: CosetTable,
+) -> list[tuple[str, tuple[int, int, int, int]]]:
     """Reduced Schreier generating set for the subgroup at coset 0.
 
     The witnesses of ``subgroup_presentation(t)``, each a PSL word paired
-    with its matrix from ``schreier_matrices``: k + f2 + f3 words for a
-    subgroup F_k * (Z/2)^f2 * (Z/3)^f3, so for torsion-free subgroups the
-    result is a free basis.  Each witness is walked through the table
-    and must fix coset 0; one that moves it is an internal fault and
-    raises ``RuntimeError``.
+    with its quadruple from ``schreier_matrices`` in the sign built there:
+    k + f2 + f3 words for a subgroup F_k * (Z/2)^f2 * (Z/3)^f3, so for
+    torsion-free subgroups the result is a free basis.  Each witness is
+    walked through the table and must fix coset 0; one that moves it is
+    an internal fault and raises ``RuntimeError``.
     """
     tr, edges, mats = schreier_matrices(t)
     cols = {x: t.column(x) for x in _PSL_INVERSE}
@@ -156,7 +151,7 @@ def schreier_generators(t: CosetTable) -> list[tuple[str, PslElement]]:
             d = cols[y][d]
         if d != 0:
             raise RuntimeError("Schreier generator does not fix coset 0")
-        gens.append((w, PslElement(Mat2(*g))))
+        gens.append((w, g))
     return gens
 
 

@@ -37,8 +37,9 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
-from congsub.matgroup import is_member, word_to_matrix
+from congsub.matgroup import is_member
 from congsub.rewriting import schreier_generators
+from psl_words import word_to_matrix
 
 
 def test_invariants_validation():
@@ -340,11 +341,12 @@ def word_rows(m, n):
     matrices, and lifted by sign into Gamma(m, n)."""
     rows = [[m, 0], [0, n]]
     for word, _ in schreier_generators(congruence_table(m, n)):
-        x = word_to_matrix(word).rep
+        x = word_to_matrix(word).rep.entries()
         if not is_member(m, n, x):
-            x = x.neg()
+            x = tuple(-e for e in x)
         assert is_member(m, n, x), (m, n, word)
-        rows += [[x.a - 1, -x.c], [-x.b, x.d - 1]]
+        a, b, c, d = x
+        rows += [[a - 1, -c], [-b, d - 1]]
     return rows
 
 

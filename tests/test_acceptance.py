@@ -27,14 +27,9 @@ from congsub.fingroups import (
     quaternion,
     symmetric,
 )
-from congsub.matgroup import (
-    Mat2,
-    PslElement,
-    psl_index_formula,
-    word_to_matrix,
-)
+from congsub.matgroup import psl_index_formula
 from congsub.rewriting import free_rank, is_free, kurosh_decompose
-from psl_words import matrix_to_word
+from psl_words import Mat2, PslElement, matrix_to_word, word_to_matrix
 
 
 def report(number, label, ok, elapsed=None):

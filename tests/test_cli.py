@@ -15,7 +15,6 @@ from congsub import abelianize, cli, cosets, fingroups, rewriting
 from congsub.cli import main
 from congsub.cosets import CosetCeilingError
 from congsub.fingroups import GroupTooLargeError
-from congsub.matgroup import Mat2
 
 
 def run(capsys, *argv):
@@ -435,12 +434,35 @@ def test_smith_rank_beyond_the_columns_is_an_internal_error(capsys, monkeypatch)
     assert err.startswith("error: internal: Smith rank ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["abelianize", "--method", "hall", "--m", "6", "--n", "3"],
+     ["abelianize", "--method", "full", "--group", "abelian:4,2"],
+     ["verify", "smith"]],
+    ids=["hall", "full", "verify"],
+)
+def test_smith_torsion_that_is_no_chain_is_an_internal_error(capsys, monkeypatch, argv):
+    # a faulty divisibility pass must not read as a usage error (exit 2)
+    monkeypatch.setattr(abelianize, "_fix_divisibility", lambda ds: sorted(ds, reverse=True))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("error: internal: Smith torsion ")
+    assert err.endswith(": torsion is not a divisibility chain\n")
+
+
+def test_verify_smith_expects_factors_the_kernel_did_not_compute(capsys, monkeypatch):
+    # a kernel that drops its largest invariant factor still returns a chain,
+    # so only an expectation read off the diagonal itself can catch it
+    real = abelianize._fix_divisibility
+    monkeypatch.setattr(abelianize, "_fix_divisibility", lambda ds: real(ds)[:-1])
+    code, out, err = run(capsys, "verify", "smith")
+    assert (code, err) == (cli.EXIT_MISMATCH, "")
+    assert out.endswith("verify smith: FAIL\n")
+
+
 def test_faulty_schreier_matrix_is_an_internal_error(capsys, monkeypatch):
-    # a letter matrix of determinant 2: Mat2 rejects the first product built from it
-    bad = object.__new__(Mat2)
-    for name, value in zip("abcd", (2, 0, 0, 1)):
-        object.__setattr__(bad, name, value)
-    monkeypatch.setitem(rewriting._LETTER_MATRIX, "U", bad)
+    # a letter matrix of determinant 2: the first product built from it is rejected
+    monkeypatch.setitem(rewriting._LETTER_MATRIX, "U", (2, 0, 0, 1))
     code, out, err = run(capsys, "abelianize", "--method", "hall", "--m", "6", "--n", "3")
     assert (code, out) == (cli.EXIT_INTERNAL, "")
     assert err == "error: internal: Schreier matrix: determinant must be 1, got 2\n"

@@ -10,16 +10,10 @@ from congsub.cosets import (
     tables_isomorphic,
     tree_flags,
 )
-from congsub.matgroup import (
-    Mat2,
-    PslElement,
-    invert_psl,
-    normalize_psl,
-    psl_index_formula,
-)
+from congsub.matgroup import invert_psl, psl_index_formula
 from congsub.rewriting import schreier_generators
 from coset_helpers import deserialize_table, trace
-from psl_words import matrix_to_word
+from psl_words import Mat2, PslElement, matrix_to_word, normalize_psl
 from rewriting_reference import reference_tree_edges
 
 

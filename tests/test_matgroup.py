@@ -1,39 +1,67 @@
+"""The package's letters, membership and index formulas, and the PSL2(Z)
+reference in ``psl_words`` that the other tests check the package
+against."""
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import psl_words
 from congsub.matgroup import (
-    IDENTITY,
-    Mat2,
+    _LETTER_MATRIX,
     NEG_IDENTITY,
-    PSL_IDENTITY,
-    PSL_S,
-    PSL_U,
-    PslElement,
-    S,
-    T,
-    U,
+    _check_psl_word,
     distinct_primes,
     index_formula,
     invert_psl,
     is_member,
-    normalize_psl,
     psl_index_formula,
+)
+from psl_words import (
+    IDENTITY,
+    PSL_IDENTITY,
+    PSL_S,
+    PSL_U,
+    Mat2,
+    PslElement,
+    S,
+    T,
+    U,
+    matrix_to_word,
+    normalize_psl,
     word_to_matrix,
 )
-from psl_words import matrix_to_word
+
+
+def test_package_letters_are_the_references_s_u_and_u_squared():
+    reference = {"S": PSL_S, "U": PSL_U, "u": PSL_U * PSL_U}
+    assert _LETTER_MATRIX.keys() == reference.keys()
+    for x, quadruple in _LETTER_MATRIX.items():
+        assert PslElement(Mat2(*quadruple)) == reference[x], x
+
+
+def test_reference_imports_nothing_from_the_package():
+    tree = ast.parse(Path(psl_words.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert not [name for name in imported if name.startswith(("congsub", "."))], imported
 
 
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         Mat2(1, 0, 0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^determinant must be 1, got 2$"):
         Mat2(2, 0, 0, 1)
 
 
 def test_matrix_algebra():
-    assert S * S == NEG_IDENTITY
-    assert U * U * U == NEG_IDENTITY
+    assert S * S == IDENTITY.neg()
+    assert U * U * U == IDENTITY.neg()
     assert S * U == T
     assert S.inv() * S == IDENTITY
     assert T.inv() == Mat2(1, -1, 0, 1)
@@ -42,9 +70,20 @@ def test_matrix_algebra():
 def test_psl_sign_canonical():
     assert PslElement(S) == PslElement(S.neg())
     assert hash(PslElement(U)) == hash(PslElement(U.neg()))
-    assert PslElement(NEG_IDENTITY).is_identity()
+    assert PslElement(IDENTITY.neg()).is_identity()
     assert (PSL_S * PSL_S).is_identity()
     assert (PSL_U * PSL_U * PSL_U).is_identity()
+
+
+def test_reference_values_compare_by_their_fields():
+    for make in (lambda: Mat2(2, 1, 1, 1), lambda: PslElement(Mat2(-1, 0, -3, -1))):
+        x, y = make(), make()
+        assert x is not y and x == y and not x != y and hash(x) == hash(y)
+    assert Mat2(2, 1, 1, 1) != Mat2(1, 1, 0, 1)
+    assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
+    assert PslElement(Mat2(0, 1, -1, 0)) == PslElement(Mat2(0, -1, 1, 0))
+    assert repr(Mat2(2, 1, 1, 1)) == "Mat2(a=2, b=1, c=1, d=1)"
+    assert repr(PslElement(Mat2(-1, 0, 0, -1))) == "PslElement(rep=Mat2(a=1, b=0, c=0, d=1))"
 
 
 def test_normalize_psl():
@@ -79,8 +118,9 @@ def test_invert_psl_matches_the_letterwise_reference():
 
 
 def test_word_alphabet_checked():
-    with pytest.raises(ValueError):
-        word_to_matrix("ST")
+    for read in (_check_psl_word, word_to_matrix):
+        with pytest.raises(ValueError, match=r"^letters \{'T'\} not in the PSL alphabet$"):
+            read("ST")
 
 
 def test_word_matrix_basics():
@@ -105,11 +145,11 @@ def test_round_trip_seeded():
 def test_membership():
     assert is_member(2, 1, NEG_IDENTITY)
     assert not is_member(4, 1, NEG_IDENTITY)
-    assert is_member(2, 2, Mat2(1, 2, 2, 5))
-    assert not is_member(2, 2, T)
-    assert is_member(2, 1, T * T)
+    assert is_member(2, 2, (1, 2, 2, 5))
+    assert not is_member(2, 2, (1, 1, 0, 1))  # T
+    assert is_member(2, 1, (1, 2, 0, 1))  # T^2
     with pytest.raises(ValueError):
-        is_member(4, 3, IDENTITY)  # n must divide m
+        is_member(4, 3, (1, 0, 0, 1))  # n must divide m
 
 
 def test_distinct_primes():

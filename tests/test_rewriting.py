@@ -16,13 +16,7 @@ from congsub.cosets import (
     tree_flags,
 )
 from congsub.fingroups import epi_set, parse_group_spec
-from congsub.matgroup import (
-    Mat2,
-    PslElement,
-    invert_psl,
-    normalize_psl,
-    word_to_matrix,
-)
+from congsub.matgroup import invert_psl
 from congsub.rewriting import (
     _reduced_schreier,
     _schreier_tree,
@@ -36,7 +30,7 @@ from congsub.rewriting import (
     transversal,
 )
 from coset_helpers import trace
-from psl_words import matrix_to_word
+from psl_words import Mat2, PslElement, matrix_to_word, normalize_psl, word_to_matrix
 from rewriting_reference import assert_read_once_per_root_cycle, reference_tree_edges
 
 # S^2 and U^3 as words of (generator, exponent) tokens
@@ -147,16 +141,16 @@ def assert_tree_flags_contract(columns, relabellings):
 def test_schreier_generators_fix_base_coset():
     for m, n in [(2, 1), (3, 1), (4, 2), (6, 3), (9, 9), (12, 4)]:
         t = congruence_table(m, n)
-        for word, elem in schreier_generators(t):
+        for word, _ in schreier_generators(t):
             assert trace(t, 0, word) == 0
 
 
 @pytest.mark.parametrize("m,n", PAIRS_TO_24)
 def test_schreier_matrices_multiply_out_their_words(m, n):
-    # word_to_matrix multiplies each witness out letter by letter, apart
-    # from the transversal's integer quadruples
-    for word, elem in schreier_generators(congruence_table(m, n)):
-        assert word_to_matrix(word) == elem
+    # the reference's word_to_matrix multiplies each witness out letter by
+    # letter, apart from the transversal's integer quadruples
+    for word, g in schreier_generators(congruence_table(m, n)):
+        assert word_to_matrix(word) == PslElement(Mat2(*g))
 
 
 def test_schreier_rank_level_two():
@@ -347,10 +341,10 @@ def test_discovery_order_puts_each_parent_first(t):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(transitive_tables())
 def test_schreier_matrices_are_their_witnesses(t):
-    # the matrices are built along the transversal tree; word_to_matrix
-    # multiplies each witness out letter by letter
-    for word, elem in schreier_generators(t):
-        assert word_to_matrix(word) == elem
+    # the matrices are built along the transversal tree; the reference's
+    # word_to_matrix multiplies each witness out letter by letter
+    for word, g in schreier_generators(t):
+        assert word_to_matrix(word) == PslElement(Mat2(*g))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
