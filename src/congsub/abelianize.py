@@ -283,6 +283,12 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     generators (conj-x, conj-y, gen_1, ..., gen_r), together with the
     derived rows m*conj-x = 0 and n*conj-y = 0.
 
+    The r generator columns are zero, so each adds one free summand, and
+    the rows live in Z^2.  They are folded into the Hermite basis of
+    their lattice (``_hermite_basis``) by unimodular row operations,
+    which keep the lattice and so the cokernel; the Smith kernel gets
+    that basis of at most two rows, not the 2r + 2 rows.
+
     Every generator lies in Gamma(m, n), so each row [a-1, -c], [-b, d-1]
     lies in the lattice <(m, 0), (0, n)> and the SNF always returns
     Z/n x Z/m x Z^r (trivial factors dropped).  What it really checks is
@@ -303,18 +309,57 @@ def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
 
     The generators' matrices are read off the Schreier tree walk by
     ``rewriting.schreier_matrices`` as integer quadruples, and each is
-    lifted by sign into Gamma(m, n); no witness word is built."""
+    lifted by sign into Gamma(m, n); no witness word is built.  Their
+    rows, after the derived rows (m, 0) and (0, n), are folded one by
+    one into the Hermite basis of the lattice they span, and only that
+    basis goes to ``smith_invariants``: the folding is a sequence of
+    unimodular row operations, so the cokernel is the one of all the
+    rows."""
     if not rewriting.is_free(t):
         raise RuntimeError("expected a torsion-free table for (%d, %d)" % (m, n))
     _, _, gens = rewriting.schreier_matrices(t)
-    rows = [[m, 0], [0, n]]
+    inv = smith_invariants(_hermite_basis(_hall_rows(gens, m, n)), 2)
+    # the r generator columns are all zero: each adds one free summand
+    return AbelianInvariants(inv.torsion, inv.free_rank + len(gens))
+
+
+def _hall_rows(gens, m: int, n: int):
+    """The derived rows (m, 0) and (0, n), then the rows (a-1, -c) and
+    (-b, d-1) of each generator as ``lift_to_sl`` lifts it."""
+    yield m, 0
+    yield 0, n
     for g in gens:
         a, b, c, d = lift_to_sl(g, m, n)
-        rows.append([a - 1, -c])
-        rows.append([-b, d - 1])
-    # the r generator columns are all zero: each adds one free summand
-    inv = smith_invariants(rows, 2)
-    return AbelianInvariants(inv.torsion, inv.free_rank + len(gens))
+        yield a - 1, -c
+        yield -b, d - 1
+
+
+def _hermite_basis(rows) -> list[list[int]]:
+    """The Hermite basis [[p, q], [0, r]] of the lattice in Z^2 spanned
+    by the rows (x, y): p >= 0, r >= 0, and 0 <= q < r when r > 0.
+
+    The basis is kept as rows are read (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.4).  A row with x != 0 meets
+    (p, q) in the extended Euclidean algorithm on the first entries;
+    every step subtracts a multiple of one row from the other or swaps
+    them, so each is a unimodular row operation and keeps the lattice.
+    The leftover (0, y) then joins (0, r) as (0, gcd(r, y)).  A zero
+    row of the basis stands for no relation."""
+    p = q = r = 0
+    for x, y in rows:
+        while x:
+            if p:
+                k = x // p
+                x, y = x - k * p, y - k * q
+            if x:  # a nonzero remainder: it becomes the pivot row
+                p, q, x, y = x, y, p, q
+        if y:
+            r = gcd(r, y)
+    if p < 0:
+        p, q = -p, -q
+    if r:
+        q %= r
+    return [[p, q], [0, r]]
 
 
 def full_abelianization(

@@ -334,6 +334,16 @@ def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
     return tuple(map(prod, zip_longest(*columns, fillvalue=1)))[::-1]
 
 
+def _unimodular_operations(rng: random.Random, n: int):
+    """5 to 25 random elementary operations on an n x n matrix, n >= 2:
+    (axis, i, j, c) adds c times row (axis "row") or column ("column") j
+    to row or column i, with i != j and c != 0, so none is the identity."""
+    for _ in range(rng.randint(5, 25)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        yield ("row" if rng.random() < 0.5 else "column"), i, j, c
+
+
 def verify_smith(args) -> list[tuple[str, bool]]:
     """Scramble known diagonal presentations with random unimodular row and
     column operations; the invariant factors must survive.  The expected
@@ -343,17 +353,13 @@ def verify_smith(args) -> list[tuple[str, bool]]:
     results = []
     trials, fails = 0, 0
     for _ in range(50):
-        n = rng.randint(1, 5)
+        n = rng.randint(2, 5)
         diag = sorted(rng.choice([0, 0, 1, 2, 2, 3, 4, 6, 12]) for _ in range(n))
         rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         chain = _invariant_factors([d for d in diag if d > 1])
         want = abelianize.AbelianInvariants(chain, sum(1 for d in diag if d == 0))
-        for _ in range(rng.randint(5, 25)):
-            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-            c = rng.randint(-3, 3)
-            if i == j:
-                continue
-            if rng.random() < 0.5:
+        for axis, i, j, c in _unimodular_operations(rng, n):
+            if axis == "row":
                 for k in range(n):
                     rows[i][k] += c * rows[j][k]
             else:

@@ -3,7 +3,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
@@ -12,6 +12,7 @@ from congsub.abelianize import (
     AbelianInvariants,
     PerfectGroupError,
     _dense_smith_diagonal,
+    _hermite_basis,
     _sparse_smith,
     _fix_divisibility,
     free_rank_formula,
@@ -190,13 +191,58 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_smith_against_sympy_invariant_factors(matrix):
     rows, n = matrix
+    assert smith_invariants(rows, n) == sympy_invariants(rows, n)
+
+
+def sympy_invariants(rows, n):
+    """The cokernel of the rows over n columns, by sympy's invariant factors."""
     # sympy's diagonal has min(rows, n) entries, 0s and 1s included
     diag = [abs(int(d)) for d in invariant_factors(Matrix(len(rows), n, sum(rows, [])), domain=ZZ)]
     assert len(diag) == min(len(rows), n)
-    want = AbelianInvariants(
+    return AbelianInvariants(
         tuple(sorted(d for d in diag if d > 1)), n - sum(1 for d in diag if d)
     )
-    assert smith_invariants(rows, n) == want
+
+
+@st.composite
+def two_column_rows(draw):
+    """0-10 rows (x, y) with entries in -40..40: zero rows, rows (0, y)
+    and rows whose first entries have either sign and share factors
+    with the others often, but not always."""
+    entry = st.integers(-40, 40)
+    row = st.one_of(st.just((0, 0)), st.tuples(st.just(0), entry), st.tuples(entry, entry))
+    return draw(st.lists(row, max_size=10))
+
+
+def in_lattice(row, basis):
+    """Whether the row (x, y) lies in the lattice of the Hermite basis
+    [[p, q], [0, r]]."""
+    (p, q), (_, r) = basis
+    x, y = row
+    if p:
+        k, x = divmod(x, p)
+        y -= k * q
+    return x == 0 and (y % r == 0 if r else y == 0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(two_column_rows())
+@example([])
+@example([(0, 0), (0, -6), (0, 4)])
+@example([(-4, 3), (6, 1)])
+@example([(4, 1), (6, 0), (0, 5)])
+def test_hermite_basis_spans_the_lattice_of_its_rows(rows):
+    basis = _hermite_basis(iter(rows))
+    (p, q), (zero, r) = basis
+    assert zero == 0 and p >= 0 and r >= 0
+    if r:
+        assert 0 <= q < r
+    elif not p:
+        assert q == 0
+    # every row lies in the basis's lattice, and the two lattices have
+    # the same rank and cokernel order, so they are equal
+    assert all(in_lattice(row, basis) for row in rows)
+    assert sympy_invariants(basis, 2) == sympy_invariants([list(row) for row in rows], 2)
 
 
 def _scramble(rows, n, rng, operations):
@@ -307,7 +353,7 @@ def test_rows_without_a_unit_go_straight_to_the_residue(monkeypatch, residues):
         return sparse_smith(rows, n_cols)
 
     monkeypatch.setattr(abelianize, "_sparse_smith", spy)
-    assert hall_abelianization(7, 7) == predicted_invariants(7, 7)
+    assert smith_invariants(word_rows(7, 7), 2) == AbelianInvariants((7, 7), 0)
     assert len(handed) > 2 and not any(v in (1, -1) for r in handed for v in r.values())
     assert residues == [_densified(handed, 2)]
 
@@ -335,38 +381,63 @@ def test_hall_requires_torsion_free_parameters():
             hall_abelianization(m, n)
 
 
-def word_rows(m, n):
-    """hall's relation rows, rebuilt from the Schreier words: each word
-    multiplied out letter by letter, apart from the tree walk's
+def word_matrices(m, n):
+    """hall's generator matrices, rebuilt from the Schreier words: each
+    word multiplied out letter by letter, apart from the tree walk's
     matrices, and lifted by sign into Gamma(m, n)."""
-    rows = [[m, 0], [0, n]]
+    matrices = []
     for word, _ in schreier_generators(congruence_table(m, n)):
         x = word_to_matrix(word).rep.entries()
         if not is_member(m, n, x):
             x = tuple(-e for e in x)
         assert is_member(m, n, x), (m, n, word)
-        a, b, c, d = x
+        matrices.append(x)
+    return matrices
+
+
+def relation_rows(m, n, matrices):
+    """The derived rows, then the rows [a-1, -c] and [-b, d-1] of each matrix."""
+    rows = [[m, 0], [0, n]]
+    for a, b, c, d in matrices:
         rows += [[a - 1, -c], [-b, d - 1]]
     return rows
 
 
-def test_hall_hands_smith_the_rows_of_its_schreier_words(monkeypatch):
-    # the Smith form of these rows is Z/n x Z/m x Z^r for any generators
-    # of Gamma(m, n), so only the rows themselves pin the matrices
-    handed = []
-    smith = abelianize.smith_invariants
+def word_rows(m, n):
+    """hall's relation rows, rebuilt from the Schreier words."""
+    return relation_rows(m, n, word_matrices(m, n))
 
-    def spy(rows, n_cols):
+
+def test_hall_hands_smith_the_hermite_basis_of_its_schreier_words(monkeypatch):
+    # the basis is the same for any generators of Gamma(m, n), so the
+    # lifted matrices pin the generators, and the basis must span the
+    # lattice of their rows
+    handed, lifted = [], []
+    smith, lift = abelianize.smith_invariants, abelianize.lift_to_sl
+
+    def smith_spy(rows, n_cols):
         handed.append(([list(r) for r in rows], n_cols))
         return smith(rows, n_cols)
 
-    monkeypatch.setattr(abelianize, "smith_invariants", spy)
+    def lift_spy(g, m, n):
+        lifted.append(lift(g, m, n))
+        return lifted[-1]
+
+    monkeypatch.setattr(abelianize, "smith_invariants", smith_spy)
+    monkeypatch.setattr(abelianize, "lift_to_sl", lift_spy)
     pairs = [(m, n) for m in range(3, 25) for n in divisors(m) if (m, n) != (3, 1)]
     assert len(pairs) == 80
     for m, n in pairs:
         handed.clear()
+        lifted.clear()
         assert hall_abelianization(m, n) == predicted_invariants(m, n), (m, n)
-        assert handed == [(word_rows(m, n), 2)], (m, n)
+        matrices = word_matrices(m, n)
+        assert lifted == matrices, (m, n)
+        rows = relation_rows(m, n, matrices)
+        [(basis, n_cols)] = handed
+        assert n_cols == 2 and len(basis) == 2, (m, n)
+        assert all(in_lattice(row, basis) for row in rows), (m, n)
+        assert sympy_invariants(basis, 2) == sympy_invariants(rows, 2), (m, n)
 
 
 def test_hall_matches_prediction():

@@ -460,6 +460,33 @@ def test_verify_smith_expects_factors_the_kernel_did_not_compute(capsys, monkeyp
     assert out.endswith("verify smith: FAIL\n")
 
 
+def test_verify_smith_scrambles_every_trial(capsys, monkeypatch):
+    # replay the default stream: no drawn operation is the identity, and
+    # every matrix with a nonzero entry reaches the kernel off its diagonal
+    drawn, handed = [], []
+    operations, smith = cli._unimodular_operations, abelianize.smith_invariants
+
+    def operations_spy(rng, n):
+        drawn.append(list(operations(rng, n)))
+        return iter(drawn[-1])
+
+    def smith_spy(rows, n_cols):
+        handed.append([row[:] for row in rows])
+        return smith(rows, n_cols)
+
+    monkeypatch.setattr(cli, "_unimodular_operations", operations_spy)
+    monkeypatch.setattr(abelianize, "smith_invariants", smith_spy)
+    code, out, err = run(capsys, "verify", "smith")
+    assert (code, err) == (0, "")
+    assert out == "PASS  smith normal form: 50/50 scrambled matrices agreed\nverify smith: PASS\n"
+    assert len(drawn) == len(handed) == 50
+    for ops, rows in zip(drawn, handed):
+        assert 5 <= len(ops) <= 25
+        assert all(i != j and c != 0 for _, i, j, c in ops)
+        off_diagonal = [v for i, row in enumerate(rows) for j, v in enumerate(row) if i != j]
+        assert any(off_diagonal) or not any(map(any, rows))
+
+
 def test_faulty_schreier_matrix_is_an_internal_error(capsys, monkeypatch):
     # a letter matrix of determinant 2: the first product built from it is rejected
     monkeypatch.setitem(rewriting._LETTER_MATRIX, "U", (2, 0, 0, 1))
