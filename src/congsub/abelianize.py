@@ -280,19 +280,19 @@ def hall_abelianization(m: int, n: int) -> AbelianInvariants:
     of the reduced Schreier generators read off its tree walk, each
     lifted by sign into Gamma(m, n); each generator (a b; c d)
     contributes the rows (a-1, -c, 0...) and (-b, d-1, 0...) over the
-    generators (conj-x, conj-y, gen_1, ..., gen_r), together with the
-    derived rows m*conj-x = 0 and n*conj-y = 0.
+    generators (conj-x, conj-y, gen_1, ..., gen_r).
 
     The r generator columns are zero, so each adds one free summand, and
     the rows live in Z^2.  They are folded into the Hermite basis of
     their lattice (``_hermite_basis``) by unimodular row operations,
     which keep the lattice and so the cokernel; the Smith kernel gets
-    that basis of at most two rows, not the 2r + 2 rows.
+    that basis of at most two rows, not the 2r rows.
 
-    Every generator lies in Gamma(m, n), so each row [a-1, -c], [-b, d-1]
-    lies in the lattice <(m, 0), (0, n)> and the SNF always returns
-    Z/n x Z/m x Z^r (trivial factors dropped).  What it really checks is
-    that membership and the generator count r.
+    Every generator lies in Gamma(m, n), so each row lies in the lattice
+    <(m, 0), (0, n)>.  The rows are the generators' alone, with no row
+    (m, 0) or (0, n) appended, so the SNF returns Z/n x Z/m x Z^r
+    (trivial factors dropped) only if they span that whole lattice: a
+    wrong or missing generator shows as a coarser torsion.
     """
     _check_pair(m, n)
     if m < 3 or (m, n) == (3, 1):
@@ -310,11 +310,11 @@ def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
     The generators' matrices are read off the Schreier tree walk by
     ``rewriting.schreier_matrices`` as integer quadruples, and each is
     lifted by sign into Gamma(m, n); no witness word is built.  Their
-    rows, after the derived rows (m, 0) and (0, n), are folded one by
-    one into the Hermite basis of the lattice they span, and only that
-    basis goes to ``smith_invariants``: the folding is a sequence of
-    unimodular row operations, so the cokernel is the one of all the
-    rows."""
+    rows alone are folded one by one into the Hermite basis of the
+    lattice they span, and only that basis goes to ``smith_invariants``:
+    the folding is a sequence of unimodular row operations, so the
+    cokernel is the one of all the rows.  Its torsion is Z/n x Z/m only
+    where the rows span <(m, 0), (0, n)>."""
     if not rewriting.is_free(t):
         raise RuntimeError("expected a torsion-free table for (%d, %d)" % (m, n))
     _, _, gens = rewriting.schreier_matrices(t)
@@ -324,10 +324,8 @@ def _hall_invariants(t: CosetTable, m: int, n: int) -> AbelianInvariants:
 
 
 def _hall_rows(gens, m: int, n: int):
-    """The derived rows (m, 0) and (0, n), then the rows (a-1, -c) and
-    (-b, d-1) of each generator as ``lift_to_sl`` lifts it."""
-    yield m, 0
-    yield 0, n
+    """The rows (a-1, -c) and (-b, d-1) of each generator as
+    ``lift_to_sl`` lifts it."""
     for g in gens:
         a, b, c, d = lift_to_sl(g, m, n)
         yield a - 1, -c

@@ -32,6 +32,13 @@ So t1 -> a, t2 -> b, t3 -> c respects the four relators of B4/Z(B4),
 with (a b c)^4 = d^4.  It sends t1 t2 t3 to a b c = d, and in B4
 d t1 d^-1 = t2 and d^2 t1 d^-2 = t3, so the two maps are inverse to each
 other on generators (each step is checked in the tests).
+
+The route needs a generator only through its action on a pair (images
+of x and y) by precomposition, so each generator and its inverse is
+written once, as a map of pairs over a group's product and inverse
+(``pair_maps``).  Over F2, with free reduction, the maps evaluate token
+words for the build-time relator check; over a Cayley table they step
+the orbit of generating pairs.
 """
 from __future__ import annotations
 
@@ -66,51 +73,42 @@ def w_inv(w: Fword) -> Fword:
     return tuple(-a for a in reversed(w))
 
 
-# --- automorphisms as (image of x, image of y) ---
-
-Aut = tuple[Fword, Fword]
-
-AUT_ID: Aut = (X, Y)
-
-
-def a_apply(f: Aut, w: Fword) -> Fword:
-    """Image of the word w under the automorphism f."""
-    wx, wy = f
-    parts: list[int] = []
-    for a in w:
-        img = wx if abs(a) == 1 else wy
-        parts.extend(img if a > 0 else w_inv(img))
-    return free_reduce(parts)
-
-
-def a_compose(f: Aut, g: Aut) -> Aut:
-    """f after g."""
-    return (a_apply(f, g[0]), a_apply(f, g[1]))
-
-
-# --- presentation generators: a = t1 and d = t1 t2 t3 ---
+# --- the presentation generators a = t1 and d = t1 t2 t3 ---
 
 GENS = ("t1", "d")
-
-GEN_AUT: dict[str, Aut] = {
-    "t1": ((1,), (2, 1)),
-    "d": ((-2,), (1,)),
-}
-# each generator's explicit inverse
-GEN_AUT_INV: dict[str, Aut] = {
-    "t1": ((1,), (2, -1)),
-    "d": ((2,), (-1,)),
-}
 
 Token = tuple[str, int]  # generator name, exponent +1 / -1
 TokenWord = tuple[Token, ...]
 
+AUT_ID: tuple[Fword, Fword] = (X, Y)
 
-def evaluate(word: TokenWord) -> Aut:
-    f = AUT_ID
-    for name, e in word:
-        f = a_compose(f, (GEN_AUT if e == 1 else GEN_AUT_INV)[name])
-    return f
+
+def pair_maps(mul, inv) -> dict:
+    """Each generator and its inverse as a map of pairs (p, q), the images
+    of x and y, over a group's product mul and inverse inv.
+
+    An automorphism f acts on a pair by precomposition, so the map of a
+    token sends the pair of f to the pair of f followed by the token:
+    t1 (x -> x, y -> y x) sends (p, q) to (p, q p), and d (x -> y^-1,
+    y -> x) sends it to (q^-1, p).
+    """
+    return {
+        ("t1", 1): lambda s: (s[0], mul(s[1], s[0])),
+        ("t1", -1): lambda s: (s[0], mul(s[1], inv(s[0]))),
+        ("d", 1): lambda s: (inv(s[1]), s[0]),
+        ("d", -1): lambda s: (s[1], inv(s[0])),
+    }
+
+
+_FREE_MAPS = pair_maps(lambda u, v: free_reduce(u + v), w_inv)
+
+
+def evaluate(word: TokenWord) -> tuple[Fword, Fword]:
+    """The automorphism a token word names, as its images of x and y."""
+    pair = AUT_ID
+    for token in word:
+        pair = _FREE_MAPS[token](pair)
+    return pair
 
 
 Presentation = namedtuple("Presentation", "relators")
@@ -134,28 +132,6 @@ def presentation() -> Presentation:
     return Presentation(relators)
 
 
-# --- action of the presentation generators on generating pairs ---
-
-def _eval_in_group(g: FiniteGroup, w: Fword, gx: int, gy: int) -> int:
-    acc = 0
-    for a in w:
-        v = gx if abs(a) == 1 else gy
-        if a < 0:
-            v = g.inv(v)
-        acc = g.mul(acc, v)
-    return acc
-
-
-def _state_action(g: FiniteGroup, name: str):
-    wx, wy = GEN_AUT[name]
-
-    def step(state):
-        gx, gy = state
-        return (_eval_in_group(g, wx, gx, gy), _eval_in_group(g, wy, gx, gy))
-
-    return step
-
-
 class PairTable(namedtuple("PairTable", "n forward")):
     """Coset table of the special stabilizer inside Aut+(F2): states are
     the generating pairs (images of x and y) in the Aut+(F2)-orbit of the
@@ -175,9 +151,9 @@ def signed_coset_table(g: FiniteGroup, pi0: Epimorphism) -> PairTable:
     ``orbit_stabilizer(g, pi0).aut_plus_index``.
     """
     _check_epimorphism(g, pi0)
-    states, forward = orbit_table(
-        (pi0.gx, pi0.gy), {name: _state_action(g, name) for name in GENS}
-    )
+    table = g.table
+    maps = pair_maps(lambda v, w: table[v][w], g.inverse.__getitem__)
+    states, forward = orbit_table((pi0.gx, pi0.gy), {name: maps[name, 1] for name in GENS})
     return PairTable(len(states), forward)
 
 

@@ -20,9 +20,54 @@ rewriting code with the package's route.
 from functools import lru_cache
 
 from congsub.abelianize import _sparse_smith
-from congsub.autpres import AUT_ID, X, Y, _eval_in_group, a_apply, a_compose, free_reduce, w_inv
 from congsub.cosets import orbit_table
 from rewriting_reference import reference_relation_rows
+
+# free group words on x (=1) and y (=2), negatives inverses; an
+# automorphism is its pair of images of x and y.  The package's words
+# are not imported, so the oracles share no word code with the route.
+X, Y = (1,), (2,)
+AUT_ID = (X, Y)
+
+
+def free_reduce(word):
+    out = []
+    for a in word:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def w_inv(w):
+    return tuple(-a for a in reversed(w))
+
+
+def a_apply(f, w):
+    """Image of the word w under the automorphism f."""
+    wx, wy = f
+    parts = []
+    for a in w:
+        img = wx if abs(a) == 1 else wy
+        parts.extend(img if a > 0 else w_inv(img))
+    return free_reduce(parts)
+
+
+def a_compose(f, g):
+    """f after g."""
+    return (a_apply(f, g[0]), a_apply(f, g[1]))
+
+
+def eval_in_group(g, w, gx, gy):
+    """The word w evaluated in g at x = gx, y = gy."""
+    acc = 0
+    for a in w:
+        v = gx if abs(a) == 1 else gy
+        if a < 0:
+            v = g.inv(v)
+        acc = g.mul(acc, v)
+    return acc
 
 
 def w_mul(*ws):
@@ -168,8 +213,8 @@ def _signed_step(g, aut):
     def step(state):
         gx, gy, sign = state
         return (
-            _eval_in_group(g, aut[0], gx, gy),
-            _eval_in_group(g, aut[1], gx, gy),
+            eval_in_group(g, aut[0], gx, gy),
+            eval_in_group(g, aut[1], gx, gy),
             sign * det,
         )
 

@@ -39,7 +39,7 @@ from congsub.fingroups import (
     symmetric,
 )
 from congsub.matgroup import is_member
-from congsub.rewriting import schreier_generators
+from congsub.rewriting import schreier_generators, schreier_matrices
 from psl_words import word_to_matrix
 
 
@@ -343,8 +343,8 @@ def test_rows_leave_and_rejoin_the_bucket_queue(residues):
 
 
 def test_rows_without_a_unit_go_straight_to_the_residue(monkeypatch, residues):
-    # hall's rows at (7, 7): 7 e1, 7 e2 and multiples of 7 from each
-    # generator in Gamma(7, 7), so no entry is a unit
+    # hall's rows at (7, 7): multiples of 7 from each generator in
+    # Gamma(7, 7), so no entry is a unit
     handed = []
     sparse_smith = abelianize._sparse_smith
 
@@ -396,8 +396,8 @@ def word_matrices(m, n):
 
 
 def relation_rows(m, n, matrices):
-    """The derived rows, then the rows [a-1, -c] and [-b, d-1] of each matrix."""
-    rows = [[m, 0], [0, n]]
+    """The rows [a-1, -c] and [-b, d-1] of each matrix."""
+    rows = []
     for a, b, c, d in matrices:
         rows += [[a - 1, -c], [-b, d - 1]]
     return rows
@@ -411,7 +411,8 @@ def word_rows(m, n):
 def test_hall_hands_smith_the_hermite_basis_of_its_schreier_words(monkeypatch):
     # the basis is the same for any generators of Gamma(m, n), so the
     # lifted matrices pin the generators, and the basis must span the
-    # lattice of their rows
+    # lattice of their rows; no row (m, 0) or (0, n) is handed on, but
+    # the generators' rows span both
     handed, lifted = [], []
     smith, lift = abelianize.smith_invariants, abelianize.lift_to_sl
 
@@ -437,7 +438,30 @@ def test_hall_hands_smith_the_hermite_basis_of_its_schreier_words(monkeypatch):
         [(basis, n_cols)] = handed
         assert n_cols == 2 and len(basis) == 2, (m, n)
         assert all(in_lattice(row, basis) for row in rows), (m, n)
+        assert in_lattice((m, 0), basis) and in_lattice((0, n), basis), (m, n)
         assert sympy_invariants(basis, 2) == sympy_invariants(rows, 2), (m, n)
+
+
+def test_hall_catches_generators_that_do_not_span(monkeypatch):
+    # a planted fault: every generator but the first lifts to the identity,
+    # so only the first one's rows are left.  Rows (5, 0) and (0, 5)
+    # appended to them would still give the torsion Z/5 x Z/5, so the
+    # route hands on the generators' rows alone
+    lift = abelianize.lift_to_sl
+    lifted = []
+
+    def planted(g, m, n):
+        lifted.append(g)
+        return lift(g, m, n) if len(lifted) == 1 else (1, 0, 0, 1)
+
+    monkeypatch.setattr(abelianize, "lift_to_sl", planted)
+    assert str(hall_abelianization(5, 5)) == "Z/5 x Z^12"
+    assert str(predicted_invariants(5, 5)) == "Z/5 x Z/5 x Z^11"
+    # the same planted rows with (5, 0) and (0, 5) appended hide the fault
+    lifted.clear()
+    _, _, gens = schreier_matrices(congruence_table(5, 5))
+    rows = [[5, 0], [0, 5]] + [list(row) for row in abelianize._hall_rows(gens, 5, 5)]
+    assert smith_invariants(rows, 2) == AbelianInvariants((5, 5), 0)
 
 
 def test_hall_matches_prediction():

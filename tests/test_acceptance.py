@@ -182,7 +182,8 @@ def test_11_property_suites():
     # relator soundness on all test groups
     pres = autpres.presentation()
     for g in (cyclic(2), cyclic(3), abelian(2, 2), symmetric(3), dihedral(4), quaternion()):
-        steps = {name: autpres._state_action(g, name) for name in autpres.GENS}
+        maps = autpres.pair_maps(g.mul, g.inv)
+        steps = {name: maps[name, 1] for name in autpres.GENS}
         states = [(pi.gx, pi.gy) for pi in epi_set(g)]
         for rel in pres.relators:
             for state in states:

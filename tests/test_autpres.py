@@ -1,27 +1,22 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import autpres_reference
 from congsub.abelianize import _sparse_smith, full_abelianization
 from congsub.autpres import (
-    AUT_ID,
     GENS,
-    GEN_AUT,
-    GEN_AUT_INV,
-    X,
-    Y,
-    a_apply,
-    a_compose,
     evaluate,
-    free_reduce,
+    pair_maps,
     presentation,
     signed_coset_table,
     stabilizer_relation_rows,
-    w_inv,
-    _eval_in_group,
-    _state_action,
 )
 from congsub.cli import VERDICT_SPECS
 from congsub.cosets import tree_flags
 from congsub.fingroups import (
+    LIFTS,
     abelian,
     cyclic,
     dihedral,
@@ -33,19 +28,27 @@ from congsub.fingroups import (
 )
 from congsub.rewriting import relation_rows
 from autpres_reference import (
+    AUT_ID,
     BRAID_AUT,
     REF_AUT,
+    X,
+    Y,
+    a_apply,
+    a_compose,
     a_det,
     braid_abelianization,
     braid_relators,
     conjugation_by,
+    eval_in_group,
     find_conjugator,
+    free_reduce,
     ref_evaluate,
     signed_abelianization,
     special_abelianization,
     special_relators,
     tok_inv,
     tok_reduce,
+    w_inv,
     w_mul,
 )
 from rewriting_reference import (
@@ -72,8 +75,32 @@ def test_free_word_algebra():
     assert w_inv((1, 2)) == (-2, -1)
 
 
+def test_reference_imports_nothing_from_the_route():
+    # the oracles keep their own words and automorphisms, so a fault in the
+    # route's pair maps or free reduction cannot hide in them
+    tree = ast.parse(Path(autpres_reference.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert not [name for name in imported if name.startswith(("congsub.autpres", "."))], imported
+
+
+def _generator(name, e=1):
+    """The route's generator t1 or d, or its inverse, as an automorphism."""
+    return evaluate(((name, e),))
+
+
+def test_generators_are_the_references_t1_and_rotation():
+    # the route's t1 is the braid reference's, and its d the reference's s
+    assert (_generator("t1"), _generator("t1", -1)) == BRAID_AUT["t1"]
+    assert (_generator("d"), _generator("d", -1)) == REF_AUT["s"]
+
+
 def test_generator_determinants():
-    dets = {name: a_det(aut) for name, aut in GEN_AUT.items()}
+    dets = {name: a_det(_generator(name)) for name in GENS}
     assert dets == {"t1": 1, "d": 1}
     assert {name: a_det(aut) for name, (aut, _) in BRAID_AUT.items()} == {
         "t1": 1, "t2": 1, "t3": 1
@@ -85,19 +112,24 @@ def test_generator_determinants():
 
 @pytest.mark.parametrize("name", GENS + ("t2", "t3"))
 def test_generator_inverses(name):
-    # the route's generators, and the braid reference's t2 and t3; its t1
-    # is the route's
-    f, f_inv = (GEN_AUT[name], GEN_AUT_INV[name]) if name in GENS else BRAID_AUT[name]
-    assert BRAID_AUT["t1"] == (GEN_AUT["t1"], GEN_AUT_INV["t1"])
-    assert a_compose(f, f_inv) == AUT_ID
-    assert a_compose(f_inv, f) == AUT_ID
+    # the route's generators through its maps, and the braid reference's
+    # t2 and t3 through the reference's composition
+    if name in GENS:
+        assert evaluate(((name, 1), (name, -1))) == AUT_ID
+        assert evaluate(((name, -1), (name, 1))) == AUT_ID
+    else:
+        f, f_inv = BRAID_AUT[name]
+        assert a_compose(f, f_inv) == AUT_ID
+        assert a_compose(f_inv, f) == AUT_ID
 
 
 def test_compose_order():
-    # (f after g) applied to x equals f(g(x))
-    f, g = GEN_AUT["t1"], BRAID_AUT["t2"][0]
+    # (f after g) applied to x equals f(g(x)), and evaluate reads a word
+    # left to right as f after g
+    f, g = _generator("t1"), BRAID_AUT["t2"][0]
     h = a_compose(f, g)
     assert a_apply(h, X) == a_apply(f, a_apply(g, X))
+    assert evaluate((("t1", 1), ("d", 1))) == a_compose(_generator("t1"), _generator("d"))
 
 
 def _tokens(text):
@@ -182,11 +214,49 @@ def test_the_proof_maps_are_inverse_on_generators():
         assert ref_evaluate(_substitute(rel, in_braids), BRAID_AUT) == AUT_ID
 
 
+def _act_on_pair(g, f, state):
+    """The generating pair state precomposed with the automorphism f."""
+    gx, gy = state
+    return (eval_in_group(g, f[0], gx, gy), eval_in_group(g, f[1], gx, gy))
+
+
+@pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
+def test_pair_maps_precompose_with_the_references_automorphisms(g):
+    # over the Cayley table each map sends a pair to the pair precomposed
+    # with the reference's literal t1, s = d or inverse, evaluated letter
+    # by letter in g
+    maps = pair_maps(lambda v, w: g.table[v][w], g.inverse.__getitem__)
+    literal = {
+        ("t1", 1): BRAID_AUT["t1"][0],
+        ("t1", -1): BRAID_AUT["t1"][1],
+        ("d", 1): REF_AUT["s"][0],
+        ("d", -1): REF_AUT["s"][1],
+    }
+    assert maps.keys() == literal.keys()
+    for token, f in literal.items():
+        for pi in epi_set(g):
+            state = (pi.gx, pi.gy)
+            assert maps[token](state) == _act_on_pair(g, f, state), token
+
+
+@pytest.mark.parametrize("spec", VERDICT_SPECS)
+def test_image_lifts_are_the_routes_maps(spec):
+    # fingroups.LIFTS writes S and U out on their own; S is d, and U is
+    # d^-1 followed by t1 (x -> y, y -> x^-1 y)
+    g = parse_group_spec(spec)
+    maps = pair_maps(g.mul, g.inv)
+    for pi in epi_set(g):
+        state = (pi.gx, pi.gy)
+        assert LIFTS["S"](g, *state) == maps["d", 1](state)
+        assert LIFTS["U"](g, *state) == maps["t1", 1](maps["d", -1](state))
+
+
 @pytest.mark.parametrize("g", TEST_GROUPS, ids=lambda g: g.tag)
 def test_relators_fix_every_signed_state(g):
     # the states are generating pairs; the test id keeps its earlier name
     pres = presentation()
-    steps = {name: _state_action(g, name) for name in GENS}
+    maps = pair_maps(g.mul, g.inv)
+    steps = {name: maps[name, 1] for name in GENS}
     states = {(pi.gx, pi.gy) for pi in epi_set(g)}
     for rel in pres.relators:
         for state in states:
@@ -311,12 +381,6 @@ def test_relation_rows_refuse_a_relator_with_a_token_dropped():
         relation_rows(columns, [rel[1:]])
     with pytest.raises(RuntimeError, match="^relator .* does not close at state 0$"):
         rewrite_relators(columns, [rel[1:]])
-
-
-def _act_on_pair(g, f, state):
-    """The generating pair state precomposed with the automorphism f."""
-    gx, gy = state
-    return (_eval_in_group(g, f[0], gx, gy), _eval_in_group(g, f[1], gx, gy))
 
 
 @pytest.mark.parametrize(
